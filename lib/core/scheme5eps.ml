@@ -2,22 +2,15 @@ open Cr_graph
 open Cr_routing
 
 (* Cluster trees: the eager store keeps every nonempty C_A(w) tree; the
-   lazy store builds a tree on first use (restricted Dijkstra in a private
-   workspace) and keeps at most [tcap] under FIFO eviction. The cache sits
-   behind a mutex because the compiled fast path runs on pool worker
-   domains; the trees themselves are deterministic functions of the graph
-   and the center sample, so cache state never changes a decision. *)
-type lazy_trees = {
-  tmutex : Mutex.t;
-  tcache : (int, Tree_routing.t option) Hashtbl.t;
-  torder : int Queue.t;
-  tcap : int;
-  tws : Dijkstra.workspace;
-}
-
+   lazy store builds a tree on first use ([Centers.cluster_tree], on
+   borrowed scratch) and keeps at most [lazy_tree_cap]. The compiled fast
+   path runs on pool worker domains, so the cache is a [Fifo_cache] and
+   the build runs outside its lock. The trees are deterministic functions
+   of the graph and the center sample, so cache state never changes a
+   decision. *)
 type trees =
   | Trees_eager of (int, Tree_routing.t) Hashtbl.t
-  | Trees_lazy of lazy_trees
+  | Trees_lazy of (int, Tree_routing.t option) Fifo_cache.t
 
 (* Color representatives: the dense table is Theta(n * q) words; the lazy
    variant re-runs the same [Vicinity.nearest_of] scan on demand, so the
@@ -72,30 +65,19 @@ let label_of t v =
   { vertex = v; p_a; group = t.group_of.(p_a); z = t.first_edge.(v) }
 
 (* The cluster tree of C_A(root), from whichever store is active. The lazy
-   miss path mirrors [Substrate.cluster_tree]'s compact construction but
-   runs in the scheme's own mutex-guarded workspace: the substrate handle
-   is single-owner by contract and must not be touched from routing. *)
+   miss path is [Substrate.cluster_tree]'s construction run outside the
+   store's lock, without the substrate handle: that handle is single-owner
+   by contract and must not be touched from routing. *)
 let cluster_tree_at t root =
   match t.trees with
   | Trees_eager tbl -> Hashtbl.find_opt tbl root
-  | Trees_lazy lt ->
-    Mutex.protect lt.tmutex (fun () ->
-        match Hashtbl.find_opt lt.tcache root with
-        | Some tr -> tr
-        | None ->
-          let dist_to_a = t.centers.Centers.dist_to_a in
-          let tr =
-            Dijkstra.with_restricted lt.tws t.graph root
-              ~limit:(fun v -> dist_to_a.(v))
-              (fun c ->
-                if Array.length c.Dijkstra.order = 0 then None
-                else Some (Tree_routing.of_tree t.graph c))
-          in
-          if Queue.length lt.torder >= lt.tcap then
-            Hashtbl.remove lt.tcache (Queue.pop lt.torder);
-          Hashtbl.replace lt.tcache root tr;
-          Queue.push root lt.torder;
-          tr)
+  | Trees_lazy cache -> (
+    match Fifo_cache.find cache root with
+    | Some tr -> tr
+    | None ->
+      let tr = Centers.cluster_tree t.graph t.centers root in
+      Fifo_cache.add cache root tr;
+      tr)
 
 let rep_of t u color =
   match t.reps with
@@ -129,14 +111,7 @@ let preprocess ?substrate ?(eps = 0.5) ?(vicinity_factor = 1.0) ?center_target
   let trees =
     match mode with
     | `Lazy ->
-      Trees_lazy
-        {
-          tmutex = Mutex.create ();
-          tcache = Hashtbl.create (2 * lazy_tree_cap);
-          torder = Queue.create ();
-          tcap = lazy_tree_cap;
-          tws = Dijkstra.workspace n;
-        }
+      Trees_lazy (Fifo_cache.create lazy_tree_cap)
     | `Eager ->
       let tbl = Hashtbl.create (2 * n) in
       for w = 0 to n - 1 do
@@ -490,14 +465,7 @@ let thaw src ~graph z =
     match z.z_trees with
     | FTrees_eager tbl -> Trees_eager tbl
     | FTrees_lazy ->
-      Trees_lazy
-        {
-          tmutex = Mutex.create ();
-          tcache = Hashtbl.create (2 * lazy_tree_cap);
-          torder = Queue.create ();
-          tcap = lazy_tree_cap;
-          tws = Dijkstra.workspace (Graph.n graph);
-        }
+      Trees_lazy (Fifo_cache.create lazy_tree_cap)
   in
   {
     graph;

@@ -25,14 +25,12 @@ type packed_seq = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1
    are bit-identical across modes. The hitting set and its trees stay
    eager in both modes: there are only O~(n/q~) of them, shared by every
    pair, and the escape-hatch labels embedded in sequences point into
-   them. Guarded by a mutex because [route_fast] runs on pool worker
-   domains; the [Substrate] handle is never touched after preprocess. *)
+   them. [route_fast] runs on pool worker domains: a miss builds outside
+   the cache's lock (see [Fifo_cache]), in a workspace borrowed from
+   [Dijkstra.with_scratch]. The [Substrate] handle is never touched after
+   preprocess. *)
 type lazy_store = {
-  lmutex : Mutex.t;
-  lcache : (int * int, packed_seq) Hashtbl.t;
-  lorder : (int * int) Queue.t;
-  lcap : int;
-  lws : Dijkstra.workspace;
+  lcache : (int * int, packed_seq) Fifo_cache.t;
   lin_hset : bool array;
 }
 
@@ -234,11 +232,7 @@ let preprocess ?substrate ?(eps = 0.5) ?hitting ?(mode = `Dense) g ~vicinities
       store =
         Lazy
           {
-            lmutex = Mutex.create ();
-            lcache = Hashtbl.create (2 * lazy_cache_cap);
-            lorder = Queue.create ();
-            lcap = lazy_cache_cap;
-            lws = Dijkstra.workspace n;
+            lcache = Fifo_cache.create lazy_cache_cap;
             lin_hset = in_hset;
           };
       part_of;
@@ -256,25 +250,22 @@ let fetch_seq t ~src:u ~dst:v =
     if u = v then raise Not_found;
     let j = t.part_of.(u) in
     if j < 0 || t.part_of.(v) <> j then raise Not_found;
-    Mutex.protect ls.lmutex (fun () ->
-        match Hashtbl.find_opt ls.lcache (u, v) with
-        | Some packed -> decode_seq t.trees ~dst:v packed
-        | None ->
-          (* The build reads the destination tree only at [u] and at
-             vertices strictly closer to [v] (boundary walks move
-             rootward), so stopping the search right after [u] settles
-             yields a bit-identical sequence to the dense store's. *)
-          let sq =
-            Dijkstra.with_spt_until ls.lws t.graph v ~until:u (fun spt_v ->
+    match Fifo_cache.find ls.lcache (u, v) with
+    | Some packed -> decode_seq t.trees ~dst:v packed
+    | None ->
+      (* The build reads the destination tree only at [u] and at vertices
+         strictly closer to [v] (boundary walks move rootward), so stopping
+         the search right after [u] settles yields a bit-identical sequence
+         to the dense store's. *)
+      let sq =
+        Dijkstra.with_scratch (Graph.n t.graph) (fun ws ->
+            Dijkstra.with_spt_until ws t.graph v ~until:u (fun spt_v ->
                 build_seq t.graph t.vic
                   (fun w -> ls.lin_hset.(w))
-                  t.trees ~b:t.b ~src:u ~dst:v spt_v)
-          in
-          Hashtbl.replace ls.lcache (u, v) (encode_seq sq);
-          Queue.push (u, v) ls.lorder;
-          if Hashtbl.length ls.lcache > ls.lcap then
-            Hashtbl.remove ls.lcache (Queue.pop ls.lorder);
-          sq)
+                  t.trees ~b:t.b ~src:u ~dst:v spt_v))
+      in
+      Fifo_cache.add ls.lcache (u, v) (encode_seq sq);
+      sq
 
 let initial_header t ~src ~dst =
   let sq = fetch_seq t ~src ~dst in
@@ -386,7 +377,7 @@ let rec step_c c ~at h =
 (* The frozen mirror drops exactly the marshal-hostile parts: the graph
    (the loader provides it), the vicinity family (frozen by the enclosing
    scheme so physical sharing survives the round trip), and the lazy
-   store's runtime plumbing (mutex, workspace, cache — rebuilt empty,
+   store's runtime cache (rebuilt empty,
    which never changes an answer). The dense store and the hitting-set
    trees are plain data and ride the Marshal residue as-is. *)
 type fstore =
@@ -426,11 +417,7 @@ let thaw ~graph ~vicinities z =
       List.iter (fun w -> lin_hset.(w) <- true) z.z_hset;
       Lazy
         {
-          lmutex = Mutex.create ();
-          lcache = Hashtbl.create (2 * lazy_cache_cap);
-          lorder = Queue.create ();
-          lcap = lazy_cache_cap;
-          lws = Dijkstra.workspace n;
+          lcache = Fifo_cache.create lazy_cache_cap;
           lin_hset;
         }
   in

@@ -50,19 +50,16 @@ let decode_seq (a : packed_seq) : seq =
    and domain interleaving included.
 
    The lazy store is consulted from pool worker domains during
-   [evaluate_batch]; the mutex serializes cache lookups and the shared
-   workspace. It deliberately does NOT touch the [Substrate] handle, which
-   is unsynchronized by contract. *)
+   [evaluate_batch]; a miss builds outside the cache's lock (see
+   [Fifo_cache]), in a workspace borrowed from [Dijkstra.with_scratch].
+   It deliberately does NOT touch the [Substrate] handle, which is
+   unsynchronized by contract. *)
 type lazy_store = {
-  lmutex : Mutex.t;
-  lcache : (int * int, packed_seq) Hashtbl.t;
-  lorder : (int * int) Queue.t; (* FIFO eviction *)
-  lcap : int;
-  lws : Dijkstra.workspace;
+  lcache : (int * int, packed_seq) Fifo_cache.t;
   ldest_group : int array;      (* w -> its part index in [dests], or -1 *)
   lpart_of : int array;
   ld_min : float;
-  mutable lmax_hops : int;      (* longest sequence observed so far *)
+  lmax_hops : int Atomic.t;     (* longest sequence observed so far *)
 }
 
 type store =
@@ -94,7 +91,7 @@ let table_words t = t.table_words
 let max_sequence_hops t =
   match t.store with
   | Dense _ -> t.dense_max_seq_hops
-  | Lazy ls -> Mutex.protect ls.lmutex (fun () -> ls.lmax_hops)
+  | Lazy ls -> Atomic.get ls.lmax_hops
 
 let breakdown t = t.breakdown
 
@@ -226,15 +223,11 @@ let preprocess ?substrate ?(eps = 0.5) ?(mode = `Dense) g ~vicinities ~parts
       store =
         Lazy
           {
-            lmutex = Mutex.create ();
-            lcache = Hashtbl.create (2 * lazy_cache_cap);
-            lorder = Queue.create ();
-            lcap = lazy_cache_cap;
-            lws = Dijkstra.workspace n;
+            lcache = Fifo_cache.create lazy_cache_cap;
             ldest_group = dest_group;
             lpart_of = part_of;
             ld_min = d_min;
-            lmax_hops = 0;
+            lmax_hops = Atomic.make 0;
           };
       table_words;
       dense_max_seq_hops = 0;
@@ -251,31 +244,34 @@ let fetch_seq t ~src:u ~dst:w =
     if u = w then raise Not_found;
     let j = ls.ldest_group.(w) in
     if j < 0 || ls.lpart_of.(u) <> j then raise Not_found;
-    Mutex.protect ls.lmutex (fun () ->
-        match Hashtbl.find_opt ls.lcache (u, w) with
-        | Some packed -> decode_seq packed
-        | None ->
-          let relay_of x =
-            Vicinity.nearest_of t.vic.(x) (fun v -> ls.lpart_of.(v) = j)
-          in
-          (* The build reads the destination tree only at vertices strictly
-             closer to [w] than [u] (plus [u] itself): the initial
-             [parent.(u)]/[parent.(u1)] edges and boundary walks that
-             always move rootward. Stopping the search right after [u]
-             settles therefore yields bit-identical sequences to the full
-             SPT the dense store uses, at the cost of the ball around [w]
-             of radius d(u, w) instead of the whole graph. *)
-          let sq =
-            Dijkstra.with_spt_until ls.lws t.graph w ~until:u (fun spt_w ->
+    match Fifo_cache.find ls.lcache (u, w) with
+    | Some packed -> decode_seq packed
+    | None ->
+      let relay_of x =
+        Vicinity.nearest_of t.vic.(x) (fun v -> ls.lpart_of.(v) = j)
+      in
+      (* The build reads the destination tree only at vertices strictly
+         closer to [w] than [u] (plus [u] itself): the initial
+         [parent.(u)]/[parent.(u1)] edges and boundary walks that always
+         move rootward. Stopping the search right after [u] settles
+         therefore yields bit-identical sequences to the full SPT the
+         dense store uses, at the cost of the ball around [w] of radius
+         d(u, w) instead of the whole graph. *)
+      let sq =
+        Dijkstra.with_scratch (Graph.n t.graph) (fun ws ->
+            Dijkstra.with_spt_until ws t.graph w ~until:u (fun spt_w ->
                 build_seq t.graph t.vic ~b:t.b ~d_min:ls.ld_min ~relay_of
-                  ~src:u ~dst:w spt_w)
-          in
-          Hashtbl.replace ls.lcache (u, w) (encode_seq sq);
-          Queue.push (u, w) ls.lorder;
-          if Hashtbl.length ls.lcache > ls.lcap then
-            Hashtbl.remove ls.lcache (Queue.pop ls.lorder);
-          ls.lmax_hops <- max ls.lmax_hops (Array.length sq.hops);
-          sq)
+                  ~src:u ~dst:w spt_w))
+      in
+      Fifo_cache.add ls.lcache (u, w) (encode_seq sq);
+      let rec raise_max () =
+        let cur = Atomic.get ls.lmax_hops in
+        if Array.length sq.hops > cur
+           && not (Atomic.compare_and_set ls.lmax_hops cur (Array.length sq.hops))
+        then raise_max ()
+      in
+      raise_max ();
+      sq
 
 let initial_header t ~src ~dst =
   let sq = fetch_seq t ~src ~dst in
@@ -407,15 +403,11 @@ let thaw ~graph ~vicinities z =
     | FLazy f ->
       Lazy
         {
-          lmutex = Mutex.create ();
-          lcache = Hashtbl.create (2 * lazy_cache_cap);
-          lorder = Queue.create ();
-          lcap = lazy_cache_cap;
-          lws = Dijkstra.workspace (Graph.n graph);
+          lcache = Fifo_cache.create lazy_cache_cap;
           ldest_group = f.z_dest_group;
           lpart_of = f.z_lpart_of;
           ld_min = f.z_d_min;
-          lmax_hops = 0;
+          lmax_hops = Atomic.make 0;
         }
   in
   {

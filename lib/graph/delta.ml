@@ -82,9 +82,11 @@ let offset_multi_source g seeds =
         done
   in
   let rec loop () =
-    match Heap.pop_min heap with
-    | None -> ()
-    | Some (u, du) -> scan u du; loop ()
+    let u = Heap.pop_min_key heap in
+    if u >= 0 then begin
+      scan u dist.(u);
+      loop ()
+    end
   in
   loop ();
   dist

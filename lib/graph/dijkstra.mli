@@ -32,8 +32,8 @@ val path_from : tree -> int -> int list
 
 (** {1 Reusable workspaces}
 
-    A search from one source needs five [n]-sized scratch arrays plus a
-    heap; allocating them per source makes an all-sources sweep cost O(n^2)
+    A search from one source needs several [n]-sized scratch arrays plus
+    a heap; allocating them per source makes an all-sources sweep cost O(n^2)
     allocation. A {!workspace} allocates the scratch once; each search
     resets only the vertices it actually touched, so n truncated searches
     of size l cost O(n l) maintenance, and the per-call allocation in the
@@ -41,7 +41,8 @@ val path_from : tree -> int -> int list
 
     Workspaces are single-owner: one search at a time, and not shared
     across domains — the parallel preprocessing pool gives each domain its
-    own (see [Cr_routing.Pool]). *)
+    own (see [Cr_routing.Pool]), and on-demand builders borrow one per
+    build with {!with_scratch}. *)
 
 type workspace
 
@@ -64,14 +65,25 @@ val with_spt_until :
     stops right after settling (and scanning) vertex [until]. The borrowed
     tree's [order] is the settled prefix: every vertex at most as close as
     [until] under [(dist, id)] order, with final distances, parents and
-    ports identical to the full tree's; vertices beyond [until] read as
-    unreachable ([infinity]/[-1]). If [until] is not reachable from [s]
+    ports identical to the full tree's. Vertices beyond [until] hold
+    only tentative data (the best path through the settled prefix) or,
+    if never reached, [infinity]/[-1]. If [until] is not reachable from [s]
     the search degenerates to a full [with_spt]. *)
 
 val with_restricted :
   workspace -> Graph.t -> int -> limit:(int -> float) -> (tree -> 'a) -> 'a
 (** [with_restricted ws g w ~limit f]: as {!restricted}, borrowed like
     {!with_spt}. *)
+
+val with_scratch : int -> (workspace -> 'a) -> 'a
+(** [with_scratch n f] applies [f] to a workspace of capacity at least [n]
+    borrowed from one process-wide free list, and returns it to the list
+    afterwards, also when [f] raises. The list is mutex-guarded and grows
+    only with demand: it never holds more workspaces than were borrowed at
+    once, so callers that build on demand from several domains (the lazy
+    Lemma 7/8 stores) need no workspace of their own. A larger workspace
+    gives the same trees as [workspace n]; borrowed trees' arrays are then
+    longer than [n]. @raise Invalid_argument if [n < 0]. *)
 
 (** {1 Truncated search — the [B(u, l)] primitive} *)
 

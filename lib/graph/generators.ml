@@ -110,16 +110,16 @@ let random_tree ~seed n =
     let edges = ref [] in
     Array.iter
       (fun v ->
-        match Heap.pop_min heap with
-        | None -> assert false
-        | Some (leaf, _) ->
-          edges := (leaf, v) :: !edges;
-          deg.(v) <- deg.(v) - 1;
-          if deg.(v) = 1 then Heap.insert heap v (float_of_int v))
+        let leaf = Heap.pop_min_key heap in
+        assert (leaf >= 0);
+        edges := (leaf, v) :: !edges;
+        deg.(v) <- deg.(v) - 1;
+        if deg.(v) = 1 then Heap.insert heap v (float_of_int v))
       prufer;
-    (match (Heap.pop_min heap, Heap.pop_min heap) with
-    | Some (a, _), Some (b, _) -> edges := (a, b) :: !edges
-    | _ -> assert false);
+    let a = Heap.pop_min_key heap in
+    let b = Heap.pop_min_key heap in
+    assert (a >= 0 && b >= 0);
+    edges := (a, b) :: !edges;
     Graph.of_unweighted_edges ~n !edges
   end
 

@@ -24,47 +24,77 @@ let priority h k =
   if not (mem h k) then invalid_arg "Heap.priority: absent key";
   h.prio.(h.pos.(k))
 
-(* [less h i j] orders slot [i] before slot [j]: by priority, then by key. *)
-let less h i j =
-  h.prio.(i) < h.prio.(j) || (h.prio.(i) = h.prio.(j) && h.keys.(i) < h.keys.(j))
-
-let swap h i j =
-  let ki = h.keys.(i) and kj = h.keys.(j) in
-  h.keys.(i) <- kj;
-  h.keys.(j) <- ki;
-  let pi = h.prio.(i) in
-  h.prio.(i) <- h.prio.(j);
-  h.prio.(j) <- pi;
-  h.pos.(ki) <- j;
-  h.pos.(kj) <- i
-
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less h i parent then begin
-      swap h i parent;
-      sift_up h parent
+(* Hole-based sifts. The element at slot [i] is read once into locals (the
+   float stays unboxed), every element it passes moves one level in a single
+   write of (key, prio, pos), and the element lands in its final slot with
+   one more write. Slots compare by priority, then by key. Slot indices stay
+   below [len] and stored keys were range-checked on insert, so the sifts
+   skip bounds checks. *)
+let sift_up h i =
+  let keys = h.keys and prio = h.prio and pos = h.pos in
+  let k = Array.unsafe_get keys i and p = Array.unsafe_get prio i in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prio parent and kp = Array.unsafe_get keys parent in
+    if p < pp || (p = pp && k < kp) then begin
+      Array.unsafe_set keys !i kp;
+      Array.unsafe_set prio !i pp;
+      Array.unsafe_set pos kp !i;
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  Array.unsafe_set keys !i k;
+  Array.unsafe_set prio !i p;
+  Array.unsafe_set pos k !i
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < h.len && less h l i then l else i in
-  let smallest = if r < h.len && less h r smallest then r else smallest in
-  if smallest <> i then begin
-    swap h i smallest;
-    sift_down h smallest
-  end
+let sift_down h i =
+  let keys = h.keys and prio = h.prio and pos = h.pos and len = h.len in
+  let k = Array.unsafe_get keys i and p = Array.unsafe_get prio i in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= len then moving := false
+    else begin
+      let r = l + 1 in
+      let pl = Array.unsafe_get prio l in
+      let c =
+        if r < len
+           && (let pr = Array.unsafe_get prio r in
+               pr < pl || (pr = pl && Array.unsafe_get keys r < Array.unsafe_get keys l))
+        then r
+        else l
+      in
+      let pc = Array.unsafe_get prio c and kc = Array.unsafe_get keys c in
+      if pc < p || (pc = p && kc < k) then begin
+        Array.unsafe_set keys !i kc;
+        Array.unsafe_set prio !i pc;
+        Array.unsafe_set pos kc !i;
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  Array.unsafe_set keys !i k;
+  Array.unsafe_set prio !i p;
+  Array.unsafe_set pos k !i
 
-let insert h k p =
-  if k < 0 || k >= Array.length h.pos then invalid_arg "Heap.insert: key out of range";
-  if h.pos.(k) >= 0 then invalid_arg "Heap.insert: duplicate key";
+let[@inline] check_key h k =
+  if k < 0 || k >= Array.length h.pos then invalid_arg "Heap.insert: key out of range"
+
+(* Appends [k] at the end and sifts it up; [k] is known absent. *)
+let[@inline] push h k p =
   let i = h.len in
   h.keys.(i) <- k;
   h.prio.(i) <- p;
-  h.pos.(k) <- i;
-  h.len <- h.len + 1;
+  h.len <- i + 1;
   sift_up h i
+
+let insert h k p =
+  check_key h k;
+  if h.pos.(k) >= 0 then invalid_arg "Heap.insert: duplicate key";
+  push h k p
 
 let decrease h k p =
   if not (mem h k) then invalid_arg "Heap.decrease: absent key";
@@ -73,10 +103,15 @@ let decrease h k p =
   h.prio.(i) <- p;
   sift_up h i
 
-let insert_or_decrease h k p =
-  if mem h k then begin
-    if p < priority h k then decrease h k p
-  end else insert h k p
+(* Loop-free so callers' relax loops can inline it and keep [p] unboxed. *)
+let[@inline] insert_or_decrease h k p =
+  check_key h k;
+  let i = h.pos.(k) in
+  if i < 0 then push h k p
+  else if p < h.prio.(i) then begin
+    h.prio.(i) <- p;
+    sift_up h i
+  end
 
 let peek_min h = if h.len = 0 then None else Some (h.keys.(0), h.prio.(0))
 
@@ -86,14 +121,19 @@ let clear h =
   done;
   h.len <- 0
 
-let pop_min h =
-  if h.len = 0 then None
+let pop_min_key h =
+  if h.len = 0 then -1
   else begin
-    let k = h.keys.(0) and p = h.prio.(0) in
+    let k = h.keys.(0) in
     let last = h.len - 1 in
-    swap h 0 last;
     h.len <- last;
     h.pos.(k) <- -1;
-    if last > 0 then sift_down h 0;
-    Some (k, p)
+    if last > 0 then begin
+      h.keys.(0) <- h.keys.(last);
+      h.prio.(0) <- h.prio.(last);
+      sift_down h 0
+    end;
+    k
   end
+
+let pop_min h = if h.len = 0 then None else let p = h.prio.(0) in Some (pop_min_key h, p)

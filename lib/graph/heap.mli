@@ -4,7 +4,14 @@
     needed by Dijkstra's algorithm. Ties between equal priorities are broken
     by the smaller key, so heap extraction order is deterministic — this is
     load-bearing for the [(distance, id)] tie-breaking of vertex vicinities
-    (paper Section 2). *)
+    (paper Section 2).
+
+    Sifts are hole-based: the moving (key, priority) pair is held in locals
+    while each element it passes moves one level with a single write, and
+    the pair is written once into its final slot. Because [(priority, key)]
+    is a strict total order over the stored pairs, the sequence of pops does
+    not depend on how the heap was built or sifted — only on the multiset
+    of pairs — so any two correct implementations pop identically. *)
 
 type t
 
@@ -43,6 +50,13 @@ val clear : t -> unit
     leaving the capacity intact. Lets a search that stopped early (e.g. a
     truncated Dijkstra) hand the heap back to a reusable workspace. *)
 
+val pop_min_key : t -> int
+(** [pop_min_key h] removes and returns the key with the least priority,
+    breaking priority ties by the smaller key; [-1] when [h] is empty. It
+    allocates nothing. Callers that need the priority read it from their
+    own distance array (or call {!priority} before popping): the hot loops
+    keep the two in step, so the heap does not box it on the way out. *)
+
 val pop_min : t -> (int * float) option
-(** [pop_min h] removes and returns the (key, priority) pair with the least
-    priority, breaking priority ties by the smaller key. *)
+(** [pop_min h] is {!pop_min_key} returning the popped priority too, as an
+    allocated option. *)

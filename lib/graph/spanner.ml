@@ -8,9 +8,10 @@ let reachable_within adj n s t bound =
   let found = ref false in
   let continue = ref true in
   while !continue do
-    match Heap.pop_min heap with
-    | None -> continue := false
-    | Some (u, d) ->
+    let u = Heap.pop_min_key heap in
+    if u < 0 then continue := false
+    else
+      let d = Hashtbl.find dist u in
       if u = t then begin
         found := true;
         continue := false

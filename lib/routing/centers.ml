@@ -35,6 +35,16 @@ let of_centers g center_list =
 let cluster g t w =
   Dijkstra.restricted g w ~limit:(fun v -> t.dist_to_a.(v))
 
+(* [Tree_routing.of_tree] only reads [order]/[parent]/ports and copies
+   what it keeps, so the borrowed tree never escapes. *)
+let cluster_tree g t w =
+  Dijkstra.with_scratch (Graph.n g) (fun ws ->
+      Dijkstra.with_restricted ws g w
+        ~limit:(fun v -> t.dist_to_a.(v))
+        (fun c ->
+          if Array.length c.Dijkstra.order = 0 then None
+          else Some (Tree_routing.of_tree g c)))
+
 let cluster_size g t w = Array.length (cluster g t w).order
 
 (* [dist_to_a] is only read inside the restricted searches, so sweeping

@@ -36,6 +36,13 @@ val cluster : Graph.t -> t -> int -> Dijkstra.tree
     (restricted Dijkstra). The tree's [order] lists the cluster members;
     the cluster of a center is empty. *)
 
+val cluster_tree : Graph.t -> t -> int -> Tree_routing.t option
+(** [cluster_tree g t w] is the tree-routing structure of [C_A(w)], or
+    [None] when the cluster is empty. The restricted search runs on a
+    workspace borrowed with {!Dijkstra.with_scratch} and only the compact
+    structure survives (O(cluster size) retained), so it is safe to call
+    from any domain. *)
+
 val cluster_size : Graph.t -> t -> int -> int
 
 val cluster_sizes : ?pool:Pool.t -> Graph.t -> t -> int array -> int array

@@ -12,11 +12,6 @@ type t = {
   clusters : (int * int * int, Dijkstra.tree) Hashtbl.t;
   cluster_trees : (int * int * int, Tree_routing.t option) Hashtbl.t;
   bunch : (int * int, int array array) Hashtbl.t;
-  (* Scratch for the cluster_tree miss path: the restricted search runs in
-     this workspace and only the compact Tree_routing survives, so a sweep
-     over all w never materializes (or caches) the raw five-n-array
-     Dijkstra trees. Lazily allocated; single-owner like the handle. *)
-  mutable cws : Dijkstra.workspace option;
   mutable spt_h : int;
   mutable spt_m : int;
   mutable tree_h : int;
@@ -52,7 +47,6 @@ let create g =
     clusters = Hashtbl.create 64;
     cluster_trees = Hashtbl.create 64;
     bunch = Hashtbl.create 4;
-    cws = None;
     spt_h = 0;
     spt_m = 0;
     tree_h = 0;
@@ -127,32 +121,15 @@ let cluster s ~seed ~target w =
     ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
     (fun () -> Centers.cluster s.g (centers s ~seed ~target) w)
 
-let scratch_ws s =
-  match s.cws with
-  | Some ws -> ws
-  | None ->
-    let ws = Dijkstra.workspace (Graph.n s.g) in
-    s.cws <- Some ws;
-    ws
-
 let cluster_tree s ~seed ~target w =
   memo s.cluster_trees (seed, target, w)
     ~hit:(fun () -> s.clus_h <- s.clus_h + 1)
     ~miss:(fun () -> s.clus_m <- s.clus_m + 1)
     (fun () ->
-      (* Same restricted search as {!cluster}, but run in the handle's
-         scratch workspace and reduced straight to the compact
-         [Tree_routing.t] (O(cluster size) retained): an all-w sweep keeps
-         memory proportional to the total cluster mass instead of caching
-         a raw five-n-array tree per destination. [Tree_routing.of_tree]
-         only reads [order]/[parent]/ports during construction and copies
-         what it keeps, so the borrowed tree never escapes. *)
-      let cd = centers s ~seed ~target in
-      Dijkstra.with_restricted (scratch_ws s) s.g w
-        ~limit:(fun v -> cd.Centers.dist_to_a.(v))
-        (fun c ->
-          if Array.length c.Dijkstra.order = 0 then None
-          else Some (Tree_routing.of_tree s.g c)))
+      (* Reduced straight to the compact [Tree_routing.t]: an all-w sweep
+         keeps memory proportional to the total cluster mass instead of
+         caching a raw n-sized tree per destination. *)
+      Centers.cluster_tree s.g (centers s ~seed ~target) w)
 
 let bunches ?pool s ~seed ~target =
   memo s.bunch (seed, target)

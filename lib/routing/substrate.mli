@@ -66,8 +66,8 @@ val cluster : t -> seed:int -> target:int -> int -> Dijkstra.tree
     [c = centers s ~seed ~target], keyed by [(seed, target, w)]. *)
 
 val cluster_tree : t -> seed:int -> target:int -> int -> Tree_routing.t option
-(** [Tree_routing.of_tree] of {!cluster}, keyed the same way; [None] when
-    the cluster is empty. *)
+(** [Centers.cluster_tree] for {!centers}, keyed like {!cluster}; [None]
+    when the cluster is empty. *)
 
 val bunches : ?pool:Pool.t -> t -> seed:int -> target:int -> int array array
 (** [Centers.bunches] for {!centers}[ ~seed ~target], keyed by

@@ -100,6 +100,58 @@ let prop_random_decreases =
       in
       drain neg_infinity true)
 
+(* Dense priority ties: priorities come from {0, 1, 2}, so almost every
+   comparison falls through to the key. Random pushes (insert when absent,
+   else insert_or_decrease) interleaved with pops must pop, through
+   [pop_min_key], exactly the least (prio, key) pair of a plain reference
+   map, then drain in sorted order. *)
+let prop_ties_pop_in_order =
+  qcheck ~count:300 "dense ties pop in sorted (prio, key) order"
+    QCheck2.Gen.(
+      list_size (int_range 0 200)
+        (oneof
+           [
+             map2 (fun k p -> Some (k, float_of_int p)) (int_range 0 31) (int_range 0 2);
+             return None;
+           ]))
+    (fun ops ->
+      let h = Cr_graph.Heap.create 32 in
+      let ref_prio = Hashtbl.create 32 in
+      let ref_min () =
+        Hashtbl.fold
+          (fun k p acc ->
+            match acc with
+            | Some (p0, k0) when compare (p0, k0) (p, k) < 0 -> acc
+            | _ -> Some (p, k))
+          ref_prio None
+      in
+      let ok = ref true in
+      let pop () =
+        let got = Cr_graph.Heap.pop_min_key h in
+        match ref_min () with
+        | None -> if got <> -1 then ok := false
+        | Some (_, k) ->
+          if got <> k then ok := false;
+          Hashtbl.remove ref_prio k
+      in
+      List.iter
+        (function
+          | Some (k, p) -> (
+            match Hashtbl.find_opt ref_prio k with
+            | None ->
+              Cr_graph.Heap.insert h k p;
+              Hashtbl.replace ref_prio k p
+            | Some p0 ->
+              Cr_graph.Heap.insert_or_decrease h k p;
+              if p < p0 then Hashtbl.replace ref_prio k p)
+          | None -> pop ())
+        ops;
+      while Hashtbl.length ref_prio > 0 do
+        pop ()
+      done;
+      pop ();
+      !ok && Cr_graph.Heap.is_empty h)
+
 let suite =
   [
     case "empty heap" test_empty;
@@ -111,4 +163,5 @@ let suite =
     case "insert_or_decrease semantics" test_insert_or_decrease;
     prop_heapsort;
     prop_random_decreases;
+    prop_ties_pop_in_order;
   ]

@@ -190,6 +190,57 @@ let test_lazy_rt_eval_identical () =
     (Scheme.evaluate_batch ~pool:(wide ()) ~fast:false inst apsp pairs
     = reference)
 
+(* Lazy stores filled concurrently from empty caches. A miss builds
+   outside the store lock, so two domains can build the same key at once
+   and the second insert is skipped. The pair list repeats every block of
+   ten pairs three times in a row, so the chunks the 3 worker domains
+   claim side by side hold the same pairs and miss the same keys together.
+   Each engine and plane runs on a fresh instance per domain count; the
+   3-domain instance then routes the list again from its filled cache. *)
+let lazy_store_identity name ~build g =
+  let apsp = Apsp.compute g in
+  let rec blocks = function
+    | [] -> []
+    | l ->
+      let blk = List.filteri (fun i _ -> i < 10) l in
+      let rest = List.filteri (fun i _ -> i >= 10) l in
+      blk @ blk @ blk @ blocks rest
+  in
+  let pairs = blocks (Scheme.sample_pairs ~seed:9 ~n:(Graph.n g) ~count:150) in
+  let sampled = List.map (fun (u, v) -> ((u, v), Apsp.dist apsp u v)) pairs in
+  List.iter
+    (fun fast ->
+      let tag what = Printf.sprintf "%s %s %s" name (if fast then "fast" else "interpreted") what in
+      let b1 = Scheme.evaluate_batch ~pool:(serial ()) ~fast (build ()) apsp pairs in
+      let inst = build () in
+      let b3 = Scheme.evaluate_batch ~pool:(wide ()) ~fast inst apsp pairs in
+      checkb (tag "batch 1 = 3 domains") true (b1 = b3);
+      checkb (tag "batch second pass = first") true
+        (Scheme.evaluate_batch ~pool:(wide ()) ~fast inst apsp pairs = b3);
+      let s1 = Scheme.evaluate_sampled ~pool:(serial ()) ~fast (build ()) sampled in
+      let inst = build () in
+      let s3 = Scheme.evaluate_sampled ~pool:(wide ()) ~fast inst sampled in
+      checkb (tag "sampled 1 = 3 domains") true (s1 = s3);
+      checkb (tag "sampled second pass = first") true
+        (Scheme.evaluate_sampled ~pool:(wide ()) ~fast inst sampled = s3);
+      checkb (tag "batch = sampled") true (b1 = s1))
+    [ false; true ]
+
+(* rt-4km7-k3 consults only the Lemma 8 store. *)
+let test_lazy_4km7_concurrent_misses () =
+  let g =
+    Generators.with_random_weights ~seed:25 ~lo:0.5 ~hi:4.0
+      (Generators.power_law ~seed:26 300)
+  in
+  lazy_store_identity "rt-4km7-k3" g ~build:(fun () ->
+      Cr_core.Scheme4km7.instance (Cr_core.Scheme4km7.preprocess ~mode:`Lazy ~seed:31 g ~k:3))
+
+(* rt-2eps1 (unweighted) routes its far pairs through the Lemma 7 store. *)
+let test_lazy_2eps1_concurrent_misses () =
+  let g = Generators.power_law ~seed:27 300 in
+  lazy_store_identity "rt-2eps1" g ~build:(fun () ->
+      Cr_core.Scheme2eps1.instance (Cr_core.Scheme2eps1.preprocess ~mode:`Lazy ~seed:31 g))
+
 (* --- Workspace reuse == fresh runs --- *)
 
 let test_workspace_reuse_spt () =
@@ -278,6 +329,10 @@ let suite =
     case "TZ scheme: parallel build routes identically" test_tz_scheme_identical;
     case "lazy rt instance: batched evals identical across domains"
       test_lazy_rt_eval_identical;
+    case "lazy rt-4km7-k3: concurrent Lemma 8 misses identical across domains"
+      test_lazy_4km7_concurrent_misses;
+    case "lazy rt-2eps1: concurrent Lemma 7 misses identical across domains"
+      test_lazy_2eps1_concurrent_misses;
     case "workspace reuse: spt" test_workspace_reuse_spt;
     case "workspace reuse: truncated" test_workspace_reuse_truncated;
     case "workspace reuse: restricted" test_workspace_reuse_restricted;
