@@ -33,4 +33,5 @@ let () =
       ("traffic", Test_traffic.suite);
       ("graph-io", Test_graph_io.suite);
       ("snapshot", Test_snapshot.suite);
+      ("golden", Test_golden.suite);
     ]
