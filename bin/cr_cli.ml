@@ -31,6 +31,17 @@ let scheme_arg =
     & info [ "scheme"; "s" ] ~docv:"ID"
         ~doc:"Scheme id; run $(b,cr_cli schemes) for the list.")
 
+(* Counts such as domain-pool widths and chunk sizes: anything below 1 is
+   a usage error, reported before any work starts. *)
+let pos_int =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "%d is not a positive integer" n))
+    | Error e -> Error e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let load_graph path =
   try Ok (Graph_io.load path) with Failure m -> Error m
 
@@ -232,11 +243,10 @@ let narrate g (e : Telemetry.event) =
   in
   match e.Telemetry.kind with
   | Telemetry.Hop ->
-    Printf.printf "  at %4d: forward via port %d%s  [header %d words, %s]\n"
+    Printf.printf "  at %4d: forward via port %d%s  [header %d words]\n"
       e.Telemetry.at e.Telemetry.port
       (dest e.Telemetry.at e.Telemetry.port)
       e.Telemetry.header_words
-      (Telemetry.plane_name e.Telemetry.plane)
   | Telemetry.Bounce ->
     Printf.printf "  at %4d: port %d%s is dead, bouncing\n" e.Telemetry.at
       e.Telemetry.port
@@ -417,7 +427,7 @@ let stats_cmd =
   let domains =
     Arg.(
       value
-      & opt int (Pool.domains (Pool.default ()))
+      & opt pos_int (Pool.domains (Pool.default ()))
       & info [ "domains" ] ~docv:"D"
           ~doc:"Domain-pool width for the batched evaluation.")
   in
@@ -498,26 +508,19 @@ let throughput graph_file scheme seed eps pairs domains no_path =
   let record = not no_path in
   Printf.printf "scheme: %s (%s)\n" e.Catalog.id e.Catalog.description;
   Format.printf "graph:  %a; %d pairs; %d domain(s)@." Graph.pp g npairs domains;
-  Printf.printf "compiled plane: %s; path recording %s for the compiled runs\n\n"
-    (if Scheme.has_fast inst then "yes" else "no (falls back to interpreted)")
+  Printf.printf "path recording %s for the serial run\n\n"
     (if record then "on" else "off");
   let rate t = float_of_int npairs /. Float.max t 1e-9 in
-  let (), t_int =
-    wall (fun () ->
-        List.iter (fun (u, v) -> ignore (Scheme.route inst ~src:u ~dst:v)) sampled)
-  in
-  Printf.printf "%-22s %12.0f routes/s\n%!" "interpreted serial" (rate t_int);
-  let (), t_c =
+  let (), t_s =
     wall (fun () ->
         List.iter
           (fun (u, v) ->
             ignore
-              (Scheme.route_fast ~record_path:record ~detect_loops:record inst
-                 ~src:u ~dst:v))
+              (Scheme.route ~record_path:record ~detect_loops:record inst ~src:u
+                 ~dst:v))
           sampled)
   in
-  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n%!" "compiled serial" (rate t_c)
-    (t_int /. Float.max t_c 1e-9);
+  Printf.printf "%-22s %12.0f routes/s\n%!" "serial" (rate t_s);
   (* The batch engine also verifies the merge: its eval must match the
      serial evaluation bit for bit. *)
   let apsp = Apsp.compute ~caller:(e.Catalog.id ^ " throughput oracle") g in
@@ -526,9 +529,8 @@ let throughput graph_file scheme seed eps pairs domains no_path =
   let ev_par, t_p =
     wall (fun () -> Scheme.evaluate_batch ~pool inst apsp sampled)
   in
-  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n" "compiled parallel"
-    (rate t_p)
-    (t_int /. Float.max t_p 1e-9);
+  Printf.printf "%-22s %12.0f routes/s  (%.2fx)\n" "parallel batch" (rate t_p)
+    (t_s /. Float.max t_p 1e-9);
   let identical = ev_par = ev_serial in
   Printf.printf "\nbatch eval identical to serial evaluate: %s\n"
     (if identical then "ok" else "VIOLATED");
@@ -543,7 +545,7 @@ let throughput_cmd =
   let domains =
     Arg.(
       value
-      & opt int (Pool.domains (Pool.default ()))
+      & opt pos_int (Pool.domains (Pool.default ()))
       & info [ "domains" ] ~docv:"D"
           ~doc:"Domain-pool width for the parallel batched run.")
   in
@@ -552,12 +554,12 @@ let throughput_cmd =
       value & flag
       & info [ "no-path" ]
           ~doc:
-            "Disable path recording and loop detection in the serial compiled \
-             run (the parallel batch engine always runs with both off).")
+            "Disable path recording and loop detection in the serial run \
+             (the parallel batch engine always runs with both off).")
   in
   Cmd.v
     (Cmd.info "throughput"
-       ~doc:"Measure routes/sec: interpreted vs compiled vs parallel batch")
+       ~doc:"Measure routes/sec: serial vs parallel batch")
     Term.(
       const throughput $ graph_arg $ scheme_arg $ seed_arg $ eps_arg $ pairs
       $ domains $ no_path)
@@ -604,7 +606,7 @@ let schemes_opt_arg =
            $(b,+res) suffix wraps with the resilience ladder). Default: \
            every catalog scheme the graph supports.")
 
-(* The long-running query server: a catalog of compiled planes under an
+(* The long-running query server: a catalog of scheme instances under an
    open-loop Zipf workload, with steady-state telemetry windows, optional
    mid-run fault churn, optional topology churn with hot-swap repair, and
    SLO thresholds that decide the exit code. *)
@@ -634,7 +636,7 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
             match snapshot_dir with
             | None -> fst (e.Catalog.build ~substrate ~seed ~eps g)
             | Some dir ->
-              (* Warm start: memory-map the compiled planes back instead of
+              (* Warm start: memory-map the routing tables back instead of
                  re-running preprocessing; any validation failure falls
                  back to a fresh (bit-identical) build. *)
               let (inst, _), how =
@@ -825,7 +827,7 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
           (fun ((ep : Traffic.epoch), (s : Traffic.served)) ->
             List.for_all
               (fun (sg : Traffic.segment) ->
-                Scheme.evaluate_batch ~pool ?faults:sg.Traffic.plan ~fast:true
+                Scheme.evaluate_batch ~pool ?faults:sg.Traffic.plan
                   s.Traffic.instance ep.Traffic.apsp sg.Traffic.pairs
                 = sg.Traffic.eval)
               s.Traffic.segments)
@@ -916,11 +918,11 @@ let serve_impl graph_file schemes_opt seed eps snapshot_dir duration rate
                     ep.Traffic.graph
                 in
                 let ev_rep =
-                  Scheme.evaluate_batch ~pool ~fast:true s.Traffic.instance
+                  Scheme.evaluate_batch ~pool s.Traffic.instance
                     ep.Traffic.apsp ident_pairs
                 in
                 let ev_fresh =
-                  Scheme.evaluate_batch ~pool ~fast:true fresh ep.Traffic.apsp
+                  Scheme.evaluate_batch ~pool fresh ep.Traffic.apsp
                     ident_pairs
                 in
                 if ev_rep <> ev_fresh then begin
@@ -1002,12 +1004,12 @@ let serve_cmd =
   let domains =
     Arg.(
       value
-      & opt int (Pool.domains (Pool.default ()))
+      & opt pos_int (Pool.domains (Pool.default ()))
       & info [ "domains" ] ~docv:"D" ~doc:"Domain-pool width for routing.")
   in
   let chunk =
     Arg.(
-      value & opt int 256
+      value & opt pos_int 256
       & info [ "chunk" ] ~docv:"K"
           ~doc:"Queries per instance drained per dispatch window.")
   in
@@ -1344,8 +1346,8 @@ let delta_impl graph_file schemes_opt seed eps ops_n inserts removes reweights
   Printf.printf "%s\n" (String.make 48 '-');
   List.iter2
     (fun (e1, i1, _) (_, i2, _) ->
-      let ev1 = Scheme.evaluate_batch ~fast:true i1 apsp' pairs in
-      let ev2 = Scheme.evaluate_batch ~fast:true i2 apsp' pairs in
+      let ev1 = Scheme.evaluate_batch i1 apsp' pairs in
+      let ev2 = Scheme.evaluate_batch i2 apsp' pairs in
       let same = ev1 = ev2 in
       if not same then ok := false;
       Printf.printf "%-20s %s\n" e1.Catalog.id

@@ -101,8 +101,32 @@ let header_words h =
       (fun acc (_, tl) -> acc + 1 + Tree_routing.label_words tl)
       0 h.lbl.pivots
 
-let step t ~at h =
-  match t.trees.(h.root) with
+let bunch_mem t u w = Hashtbl.mem t.in_bunch.(u) w
+
+let home_label t u v = Hashtbl.find_opt t.home_labels.(u) v
+
+(* --- routing tables ------------------------------------------------------- *)
+
+type compiled = {
+  base : t;
+  trees_c : Tree_routing.compiled option array;
+  in_bunch_c : Compiled.Bitset.t array; (* dense over [0, n): one bit per w *)
+  home_labels_c : Tree_routing.label Compiled.Table.t array;
+}
+
+let compile t =
+  let n = Graph.n t.graph in
+  {
+    base = t;
+    trees_c = Array.map (Option.map Tree_routing.compile) t.trees;
+    in_bunch_c = Array.map (Compiled.Bitset.of_hashtbl_keys ~n) t.in_bunch;
+    home_labels_c = Array.map Compiled.Table.of_hashtbl t.home_labels;
+  }
+
+let tree c w = c.trees_c.(w)
+
+let step c ~at h =
+  match c.trees_c.(h.root) with
   | None -> invalid_arg "Tz_routing.step: empty tree"
   | Some tr -> (
     (* The destination's tree label for the chosen root, from its label. *)
@@ -121,128 +145,33 @@ let step t ~at h =
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
 
-(* The source decision: its own cluster if it stores v's label (the 4k-5
-   refinement), else the lowest level whose pivot's cluster contains u. *)
-let initial_header t ~src lbl =
-  let v = lbl.vertex in
-  match Hashtbl.find_opt t.home_labels.(src) v with
-  | Some _ -> { lbl; root = src }
-  | None ->
-    let rec find i =
-      if i >= t.k then invalid_arg "Tz_routing: no usable pivot"
-      else begin
-        let p, _ = lbl.pivots.(i) in
-        if p = src || Hashtbl.mem t.in_bunch.(src) p then { lbl; root = p }
-        else find (i + 1)
-      end
-    in
-    find 0
+(* The source decision when [src] stores no home label for v ([route]
+   tries that 4k-5 refinement first): the lowest level whose pivot's
+   cluster contains u. *)
+let initial_header c ~src lbl =
+  let rec find i =
+    if i >= c.base.k then invalid_arg "Tz_routing: no usable pivot"
+    else begin
+      let p, _ = lbl.pivots.(i) in
+      if p = src || Compiled.Bitset.mem c.in_bunch_c.(src) p then
+        { lbl; root = p }
+      else find (i + 1)
+    end
+  in
+  find 0
 
 (* Home-cluster routing uses the label stored at the source, not the
-   destination label; splice it into the header's pivot list so the relay
-   vertices can keep routing. *)
-let step_home t ~at (lbl_home : Tree_routing.label) root dst =
-  match t.trees.(root) with
+   destination label. The header tuple itself is forwarded, so the
+   simulator's hash cache sees one physical header for the whole ride. *)
+let step_home c ~at ((lbl_home, root, _dst) as h : Tree_routing.label * int * int) =
+  match c.trees_c.(root) with
   | None -> invalid_arg "Tz_routing.step_home: empty tree"
   | Some tr -> (
     match Tree_routing.step tr ~at lbl_home with
     | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, (lbl_home, root, dst)))
-
-let route ?faults t ~src ~dst =
-  if src = dst then
-    Port_model.run t.graph ~src ~header:() ?faults
-      ~step:(fun ~at:_ () -> Port_model.Deliver)
-      ~header_words:(fun () -> 0)
-      ()
-  else
-    match Hashtbl.find_opt t.home_labels.(src) dst with
-    | Some lbl_home ->
-      Port_model.run t.graph ~src ~header:(lbl_home, src, dst) ?faults
-        ~step:(fun ~at (l, r, d) -> step_home t ~at l r d)
-        ~header_words:(fun (l, _, _) -> 2 + Tree_routing.label_words l)
-        ()
-    | None ->
-      let header = initial_header t ~src (label_of t dst) in
-      Port_model.run t.graph ~src ~header ?faults
-        ~step:(fun ~at h -> step t ~at h)
-        ~header_words ()
-
-let tree t w = t.trees.(w)
-
-let bunch_mem t u w = Hashtbl.mem t.in_bunch.(u) w
-
-let home_label t u v = Hashtbl.find_opt t.home_labels.(u) v
-
-(* --- compiled form ------------------------------------------------------ *)
-
-type compiled = {
-  base : t;
-  trees_c : Tree_routing.compiled option array;
-  in_bunch_c : Compiled.Bitset.t array; (* dense over [0, n): one bit per w *)
-  home_labels_c : Tree_routing.label Compiled.Table.t array;
-}
-
-let compile t =
-  let n = Graph.n t.graph in
-  {
-    base = t;
-    trees_c = Array.map (Option.map Tree_routing.compile) t.trees;
-    in_bunch_c = Array.map (Compiled.Bitset.of_hashtbl_keys ~n) t.in_bunch;
-    home_labels_c = Array.map Compiled.Table.of_hashtbl t.home_labels;
-  }
-
-let tree_c c w = c.trees_c.(w)
-
-let bunch_mem_c c u w = Compiled.Bitset.mem c.in_bunch_c.(u) w
-
-let step_c c ~at h =
-  match c.trees_c.(h.root) with
-  | None -> invalid_arg "Tz_routing.step: empty tree"
-  | Some tr -> (
-    let lbl =
-      let rec find i =
-        if i >= Array.length h.lbl.pivots then
-          invalid_arg "Tz_routing.step: root not among pivots"
-        else begin
-          let p, l = h.lbl.pivots.(i) in
-          if p = h.root then l else find (i + 1)
-        end
-      in
-      find 0
-    in
-    match Tree_routing.step_c tr ~at lbl with
-    | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
 
-let initial_header_c c ~src lbl =
-  let t = c.base in
-  let v = lbl.vertex in
-  if Compiled.Table.mem c.home_labels_c.(src) v then { lbl; root = src }
-  else
-    let rec find i =
-      if i >= t.k then invalid_arg "Tz_routing: no usable pivot"
-      else begin
-        let p, _ = lbl.pivots.(i) in
-        if p = src || bunch_mem_c c src p then { lbl; root = p }
-        else find (i + 1)
-      end
-    in
-    find 0
-
-(* Forward the header tuple itself (structurally identical to what the
-   interpreted step rebuilds each hop), so the simulator's hash cache sees
-   one physical header for the whole ride. *)
-let step_home_c c ~at ((lbl_home, root, _dst) as h : Tree_routing.label * int * int) =
-  match c.trees_c.(root) with
-  | None -> invalid_arg "Tz_routing.step_home: empty tree"
-  | Some tr -> (
-    match Tree_routing.step_c tr ~at lbl_home with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
+let route ?faults ?(record_path = true) ?(detect_loops = true) c ~src ~dst =
   let t = c.base in
   if src = dst then
     Port_model.run t.graph ~src ~header:() ?faults
@@ -253,13 +182,13 @@ let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
     match Compiled.Table.find_opt c.home_labels_c.(src) dst with
     | Some lbl_home ->
       Port_model.run t.graph ~src ~header:(lbl_home, src, dst) ?faults
-        ~step:(fun ~at h -> step_home_c c ~at h)
+        ~step:(fun ~at h -> step_home c ~at h)
         ~header_words:(fun (l, _, _) -> 2 + Tree_routing.label_words l)
         ~record_path ~detect_loops ()
     | None ->
-      let header = initial_header_c c ~src (label_of t dst) in
+      let header = initial_header c ~src (label_of t dst) in
       Port_model.run t.graph ~src ~header ?faults
-        ~step:(fun ~at h -> step_c c ~at h)
+        ~step:(fun ~at h -> step c ~at h)
         ~header_words ~record_path ~detect_loops ()
 
 let table_words t = t.table_words
@@ -282,11 +211,9 @@ let instance t =
   {
     Scheme.name = Printf.sprintf "thorup-zwick-k%d" t.k;
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route =
+      (fun ~faults ~record_path ~detect_loops ~src ~dst ->
+        route ?faults ~record_path ~detect_loops c ~src ~dst);
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = 0;

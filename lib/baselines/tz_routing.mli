@@ -34,8 +34,6 @@ val preprocess :
     cluster trees stay workspace-based and are never cached).
     @raise Invalid_argument if [k < 2] or the graph is disconnected. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-
 val instance : t -> Scheme.instance
 
 val stretch_bound : t -> float * float
@@ -50,9 +48,6 @@ val hierarchy : t -> Tz_hierarchy.t
 
 val label_of : t -> int -> label
 
-val tree : t -> int -> Tree_routing.t option
-(** [tree t w] is the routing structure of [T(w)] ([None] iff [C(w) = ∅]). *)
-
 val bunch_mem : t -> int -> int -> bool
 (** [bunch_mem t u w] is [u ∈ C(w)] (equivalently [w ∈ B(u)]), decided from
     [u]'s local bunch hash. *)
@@ -65,24 +60,22 @@ val table_words : t -> int array
 
 val base_label_words : t -> int array
 
-(** {1 Compiled form} *)
+(** {1 Routing} *)
 
 type compiled
-(** The forwarding plane: cluster trees compiled to flat records
+(** The routing tables: cluster trees compiled to flat records
     ({!Tree_routing.compile}), bunch membership packed into one-bit-per-
     vertex [Bytes] bitmaps, home-label stores compiled to sorted tables.
-    Decisions are identical to the interpreted scheme; [table_words] is
-    a property of the logical tables and does not change. *)
+    [table_words] is a property of the logical tables and does not
+    change. *)
 
 val compile : t -> compiled
 
-val tree_c : compiled -> int -> Tree_routing.compiled option
-(** Compiled counterpart of {!tree} (used by the Theorem 16 scheme). *)
+val tree : compiled -> int -> Tree_routing.compiled option
+(** [tree c w] is the routing table of the cluster tree [T(w)] ([None]
+    iff [C(w) = ∅]); used by the Theorem 16 scheme. *)
 
-val bunch_mem_c : compiled -> int -> int -> bool
-(** Identical answer to {!bunch_mem} from the compiled bitmap. *)
-
-val route_fast :
+val route :
   ?faults:Fault.plan ->
   ?record_path:bool ->
   ?detect_loops:bool ->
@@ -90,8 +83,9 @@ val route_fast :
   src:int ->
   dst:int ->
   Port_model.outcome
-(** Same outcomes as {!route} (identical verdict, final vertex, length,
-    hops and header peak; [path] is [[]] under [~record_path:false]). *)
+(** Simulates one message through the port model. Both knobs default to
+    [true]; with [~record_path:false] the outcome's [path] is [[]] and
+    every other field is unchanged. *)
 
 val label_bits : t -> int -> int
 (** [label_bits t v] is the exact size of [v]'s label under the bit-level

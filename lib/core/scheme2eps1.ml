@@ -208,41 +208,6 @@ let header_words h =
     | Cluster_tree (_, lbl) -> 1 + Tree_routing.label_words lbl
     | Lemma7 ih -> Seq_routing.header_words ih)
 
-let rec step t ~at h =
-  let dst = h.lbl.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst, h)
-  | To_witness w ->
-    if at = w then begin
-      (* w stores the cluster-tree label of every member of C_A(w). *)
-      let labels = Hashtbl.find t.cluster_labels w in
-      let lbl = Hashtbl.find labels dst in
-      step t ~at { h with phase = Cluster_tree (w, lbl) }
-    end
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-  | Cluster_tree (w, lbl) -> (
-    let tree = Hashtbl.find t.cluster_trees w in
-    match Tree_routing.step tree ~at lbl with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Global_tree -> (
-    let tree = Hashtbl.find t.global_trees h.lbl.p_a in
-    match Tree_routing.step tree ~at h.lbl.tree_label with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Seek_rep w ->
-    if at = w then
-      step t ~at
-        { h with phase = Lemma7 (Seq_routing.initial_header t.lemma7 ~src:w ~dst) }
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-  | Lemma7 ih -> (
-    match Seq_routing.step t.lemma7 ~at ih with
-    | Port_model.Deliver -> Port_model.Deliver
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma7 ih' }))
-
 (* The source's decision tree, using only u's tables and v's label. *)
 let initial_header t ~src lbl =
   let v = lbl.vertex in
@@ -255,19 +220,7 @@ let initial_header t ~src lbl =
       if lbl.d_pa <= d_uw then { lbl; phase = Global_tree }
       else { lbl; phase = Seek_rep w }
 
-let route ?faults t ~src ~dst =
-  let lbl = label_of t dst in
-  if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
+(* --- routing tables ------------------------------------------------------- *)
 
 type compiled = {
   base : t;
@@ -279,8 +232,8 @@ type compiled = {
 
 (* The vicinity family is physically shared with the embedded Lemma 7
    instance, so its compiled form is reused rather than rebuilt. The
-   witness and cluster-label stores are consulted once per route and stay
-   interpreted; the per-hop tree dispatches are compiled. *)
+   witness and cluster-label stores are read once per route from their
+   build-time hashtables; the per-hop tree dispatches are compiled. *)
 let compile t =
   let lemma7_c = Seq_routing.compile t.lemma7 in
   {
@@ -295,54 +248,54 @@ let compile t =
         (Compiled.Table.of_hashtbl t.global_trees);
   }
 
-let rec step_fast c ~at h =
+let rec step c ~at h =
   let t = c.base in
   let dst = h.lbl.vertex in
   match h.phase with
   | Direct ->
     if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst, h)
   | To_witness w ->
     if at = w then begin
+      (* w stores the cluster-tree label of every member of C_A(w). *)
       let labels = Hashtbl.find t.cluster_labels w in
       let lbl = Hashtbl.find labels dst in
-      step_fast c ~at { h with phase = Cluster_tree (w, lbl) }
+      step c ~at { h with phase = Cluster_tree (w, lbl) }
     end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
   | Cluster_tree (w, lbl) -> (
     let tree = Compiled.Table.find c.cluster_trees_c w in
-    match Tree_routing.step_c tree ~at lbl with
+    match Tree_routing.step tree ~at lbl with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
   | Global_tree -> (
     let tree = Compiled.Table.find c.global_trees_c h.lbl.p_a in
-    match Tree_routing.step_c tree ~at h.lbl.tree_label with
+    match Tree_routing.step tree ~at h.lbl.tree_label with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
   | Seek_rep w ->
     if at = w then
-      step_fast c ~at
+      step c ~at
         { h with phase = Lemma7 (Seq_routing.initial_header t.lemma7 ~src:w ~dst) }
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
   | Lemma7 ih -> (
-    match Seq_routing.step_c c.lemma7_c ~at ih with
+    match Seq_routing.step c.lemma7_c ~at ih with
     | Port_model.Deliver -> Port_model.Deliver
     | Port_model.Forward (p, ih') ->
       Port_model.Forward (p, { h with phase = Lemma7 ih' }))
 
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
+let route c ~faults ~record_path ~detect_loops ~src ~dst =
   let t = c.base in
   let lbl = label_of t dst in
   if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step c ~at h)
       ~header_words
 
 let instance t =
@@ -350,11 +303,7 @@ let instance t =
   {
     Scheme.name = "roditty-tov-2eps1";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route = route c;
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;

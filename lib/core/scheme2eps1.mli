@@ -40,8 +40,6 @@ val preprocess :
     @raise Invalid_argument if [g] is disconnected, weighted, or the
     coloring is infeasible. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-
 val instance : t -> Scheme.instance
 
 val stretch_bound : t -> float * float

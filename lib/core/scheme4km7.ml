@@ -148,59 +148,6 @@ let pivot_label h root =
   in
   find 0
 
-let rec step t ~at h =
-  let dst = h.lbl.tz_label.Tz_routing.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst, h)
-  | Home (root, lbl) -> (
-    match Tz_routing.tree t.tz root with
-    | None -> invalid_arg "Scheme4km7.step: empty home tree"
-    | Some tr -> (
-      match Tree_routing.step tr ~at lbl with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h)))
-  | Tz_tree root -> (
-    match Tz_routing.tree t.tz root with
-    | None -> invalid_arg "Scheme4km7.step: empty TZ tree"
-    | Some tr -> (
-      match Tree_routing.step tr ~at (pivot_label h root) with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h)))
-  | Seek_rep w ->
-    if at = w then begin
-      let p_km2 =
-        let hh = Tz_routing.hierarchy t.tz in
-        hh.Tz_hierarchy.p.(t.k - 2).(dst)
-      in
-      if w = p_km2 then
-        if at = dst then Port_model.Deliver
-        else step t ~at { h with phase = Final_tree }
-      else
-        step t ~at
-          { h with
-            phase = Lemma8 (Seq_routing2.initial_header t.lemma8 ~src:w ~dst:p_km2)
-          }
-    end
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-  | Lemma8 ih -> (
-    match Seq_routing2.step t.lemma8 ~at ih with
-    | Port_model.Deliver ->
-      if at = dst then Port_model.Deliver
-      else step t ~at { h with phase = Final_tree }
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma8 ih' }))
-  | Final_tree -> (
-    let hh = Tz_routing.hierarchy t.tz in
-    let root = hh.Tz_hierarchy.p.(t.k - 2).(dst) in
-    match Tz_routing.tree t.tz root with
-    | None -> invalid_arg "Scheme4km7.step: empty final tree"
-    | Some tr -> (
-      match Tree_routing.step tr ~at (pivot_label h root) with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h)))
-
 (* Source decision: vicinity, then the home cluster, then the smallest TZ
    level i <= k-2 whose pivot's cluster contains the source, else the
    Lemma 8 fallback. *)
@@ -223,19 +170,7 @@ let initial_header t ~src lbl =
       in
       find 0
 
-let route ?faults t ~src ~dst =
-  let lbl = label_of t dst in
-  if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
+(* --- routing tables ------------------------------------------------------- *)
 
 type compiled = {
   base : t;
@@ -246,9 +181,9 @@ type compiled = {
 
 (* The vicinity family is physically shared with the embedded Lemma 8
    instance, so its compiled form is reused rather than rebuilt; the TZ
-   cluster trees ride their own compiled plane. The source decision
-   (home label, bunch membership) runs once per route and stays
-   interpreted. *)
+   cluster trees use the TZ scheme's compiled tables. The source decision
+   (home label, bunch membership) runs once per route, on the build-time
+   hashtables. *)
 let compile t =
   let lemma8_c = Seq_routing2.compile t.lemma8 in
   {
@@ -258,25 +193,25 @@ let compile t =
     tz_c = Tz_routing.compile t.tz;
   }
 
-let rec step_fast c ~at h =
+let rec step c ~at h =
   let t = c.base in
   let dst = h.lbl.tz_label.Tz_routing.vertex in
   match h.phase with
   | Direct ->
     if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst, h)
   | Home (root, lbl) -> (
-    match Tz_routing.tree_c c.tz_c root with
+    match Tz_routing.tree c.tz_c root with
     | None -> invalid_arg "Scheme4km7.step: empty home tree"
     | Some tr -> (
-      match Tree_routing.step_c tr ~at lbl with
+      match Tree_routing.step tr ~at lbl with
       | `Deliver -> Port_model.Deliver
       | `Forward p -> Port_model.Forward (p, h)))
   | Tz_tree root -> (
-    match Tz_routing.tree_c c.tz_c root with
+    match Tz_routing.tree c.tz_c root with
     | None -> invalid_arg "Scheme4km7.step: empty TZ tree"
     | Some tr -> (
-      match Tree_routing.step_c tr ~at (pivot_label h root) with
+      match Tree_routing.step tr ~at (pivot_label h root) with
       | `Deliver -> Port_model.Deliver
       | `Forward p -> Port_model.Forward (p, h)))
   | Seek_rep w ->
@@ -287,44 +222,43 @@ let rec step_fast c ~at h =
       in
       if w = p_km2 then
         if at = dst then Port_model.Deliver
-        else step_fast c ~at { h with phase = Final_tree }
+        else step c ~at { h with phase = Final_tree }
       else
-        step_fast c ~at
+        step c ~at
           { h with
             phase = Lemma8 (Seq_routing2.initial_header t.lemma8 ~src:w ~dst:p_km2)
           }
     end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
   | Lemma8 ih -> (
-    match Seq_routing2.step_c c.lemma8_c ~at ih with
+    match Seq_routing2.step c.lemma8_c ~at ih with
     | Port_model.Deliver ->
       if at = dst then Port_model.Deliver
-      else step_fast c ~at { h with phase = Final_tree }
+      else step c ~at { h with phase = Final_tree }
     | Port_model.Forward (p, ih') ->
       Port_model.Forward (p, { h with phase = Lemma8 ih' }))
   | Final_tree -> (
     let hh = Tz_routing.hierarchy t.tz in
     let root = hh.Tz_hierarchy.p.(t.k - 2).(dst) in
-    match Tz_routing.tree_c c.tz_c root with
+    match Tz_routing.tree c.tz_c root with
     | None -> invalid_arg "Scheme4km7.step: empty final tree"
     | Some tr -> (
-      match Tree_routing.step_c tr ~at (pivot_label h root) with
+      match Tree_routing.step tr ~at (pivot_label h root) with
       | `Deliver -> Port_model.Deliver
       | `Forward p -> Port_model.Forward (p, h)))
 
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
+let route c ~faults ~record_path ~detect_loops ~src ~dst =
   let t = c.base in
   let lbl = label_of t dst in
   if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step c ~at h)
       ~header_words
 
 let instance t =
@@ -332,11 +266,7 @@ let instance t =
   {
     Scheme.name = Printf.sprintf "roditty-tov-4km7-k%d" t.k;
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route = route c;
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;

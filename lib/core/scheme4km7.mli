@@ -39,8 +39,6 @@ val preprocess :
     vertices (default 10^4). Lazy table accounting counts only resident
     entries. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-
 val instance : t -> Scheme.instance
 
 val stretch_bound : t -> float * float

@@ -3,14 +3,22 @@ open Cr_routing
 
 (* Cluster trees: the eager store keeps every nonempty C_A(w) tree; the
    lazy store builds a tree on first use ([Centers.cluster_tree], on
-   borrowed scratch) and keeps at most [lazy_tree_cap]. The compiled fast
-   path runs on pool worker domains, so the cache is a [Fifo_cache] and
-   the build runs outside its lock. The trees are deterministic functions
-   of the graph and the center sample, so cache state never changes a
-   decision. *)
+   borrowed scratch), keeps only what routing reads of it — the member
+   labels, read once per route, and the compiled tree, read per hop — and
+   holds at most [lazy_tree_cap] of them. Routing runs on pool worker
+   domains, so the cache is a [Fifo_cache] and the build runs outside its
+   lock. The trees are deterministic functions of the graph and the center
+   sample, so cache state never changes a decision. *)
+type lazy_tree = {
+  labels : Tree_routing.label Compiled.Table.t;
+  tables : Tree_routing.compiled;
+}
+
+type lazy_trees = (int, lazy_tree option) Fifo_cache.t
+
 type trees =
   | Trees_eager of (int, Tree_routing.t) Hashtbl.t
-  | Trees_lazy of (int, Tree_routing.t option) Fifo_cache.t
+  | Trees_lazy of lazy_trees
 
 (* Color representatives: the dense table is Theta(n * q) words; the lazy
    variant re-runs the same [Vicinity.nearest_of] scan on demand, so the
@@ -64,20 +72,36 @@ let label_of t v =
   let p_a = t.centers.Centers.p_a.(v) in
   { vertex = v; p_a; group = t.group_of.(p_a); z = t.first_edge.(v) }
 
-(* The cluster tree of C_A(root), from whichever store is active. The lazy
-   miss path is [Substrate.cluster_tree]'s construction run outside the
-   store's lock, without the substrate handle: that handle is single-owner
-   by contract and must not be touched from routing. *)
-let cluster_tree_at t root =
+(* A lazy store's cluster tree of C_A(root). The miss path is
+   [Substrate.cluster_tree]'s construction run outside the store's lock,
+   without the substrate handle: that handle is single-owner by contract
+   and must not be touched from routing. *)
+let lazy_tree t cache root =
+  match Fifo_cache.find cache root with
+  | Some e -> e
+  | None ->
+    let entry tr =
+      let members = Tree_routing.members tr in
+      let labels = Hashtbl.create (Array.length members) in
+      Array.iter (fun v -> Hashtbl.replace labels v (Tree_routing.label tr v)) members;
+      { labels = Compiled.Table.of_hashtbl labels; tables = Tree_routing.compile tr }
+    in
+    let e = Option.map entry (Centers.cluster_tree t.graph t.centers root) in
+    Fifo_cache.add cache root e;
+    e
+
+(* [v]'s label in the cluster tree of C_A(root), if [v] is a member, from
+   whichever store is active. *)
+let cluster_label t root v =
   match t.trees with
-  | Trees_eager tbl -> Hashtbl.find_opt tbl root
+  | Trees_eager tbl -> (
+    match Hashtbl.find_opt tbl root with
+    | Some tr when Tree_routing.mem tr v -> Some (Tree_routing.label tr v)
+    | _ -> None)
   | Trees_lazy cache -> (
-    match Fifo_cache.find cache root with
-    | Some tr -> tr
-    | None ->
-      let tr = Centers.cluster_tree t.graph t.centers root in
-      Fifo_cache.add cache root tr;
-      tr)
+    match lazy_tree t cache root with
+    | Some e -> Compiled.Table.find_opt e.labels v
+    | None -> None)
 
 let rep_of t u color =
   match t.reps with
@@ -239,92 +263,37 @@ let header_words h =
     | Lemma8 ih -> Seq_routing2.header_words ih)
 
 (* The label fetch at z: z stores (logically) the cluster-tree label of
-   every member of C_A(z); both stores answer via [Tree_routing.label],
-   which is a precomputed per-member read. *)
+   every member of C_A(z), a precomputed per-member read in both stores. *)
 let member_label t root dst =
-  match cluster_tree_at t root with
-  | Some tr -> Tree_routing.label tr dst
+  match cluster_label t root dst with
+  | Some l -> l
   | None -> raise Not_found
-
-let rec step t ~at h =
-  let dst = h.lbl.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst, h)
-  | Cluster_tree (root, lbl) -> (
-    let tree =
-      match cluster_tree_at t root with
-      | Some tr -> tr
-      | None -> raise Not_found
-    in
-    match Tree_routing.step tree ~at lbl with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Seek_rep w ->
-    if at = w then
-      if w = h.lbl.p_a then
-        (* The representative happens to be the destination's center. *)
-        if at = dst then Port_model.Deliver else step t ~at { h with phase = To_z }
-      else
-        step t ~at
-          { h with
-            phase = Lemma8 (Seq_routing2.initial_header t.lemma8 ~src:w ~dst:h.lbl.p_a)
-          }
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-  | Lemma8 ih -> (
-    match Seq_routing2.step t.lemma8 ~at ih with
-    | Port_model.Deliver ->
-      (* Arrived at p_A(v). *)
-      if at = dst then Port_model.Deliver else step t ~at { h with phase = To_z }
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma8 ih' }))
-  | To_z ->
-    if at = h.lbl.z then
-      step t ~at { h with phase = Cluster_tree (at, member_label t at dst) }
-    else begin
-      match Graph.port_to t.graph at h.lbl.z with
-      | Some p -> Port_model.Forward (p, h)
-      | None -> invalid_arg "Scheme5eps.step: stored first edge missing"
-    end
 
 let initial_header t ~src lbl =
   let v = lbl.vertex in
   if Vicinity.mem t.vic.(src) v then { lbl; phase = Direct }
   else
-    match cluster_tree_at t src with
-    | Some tr when Tree_routing.mem tr v ->
-      { lbl; phase = Cluster_tree (src, Tree_routing.label tr v) }
-    | _ -> { lbl; phase = Seek_rep (rep_of t src lbl.group) }
+    match cluster_label t src v with
+    | Some l -> { lbl; phase = Cluster_tree (src, l) }
+    | None -> { lbl; phase = Seek_rep (rep_of t src lbl.group) }
 
-let route ?faults t ~src ~dst =
-  let lbl = label_of t dst in
-  if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
+(* --- routing tables ------------------------------------------------------- *)
 
-(* --- compiled form ------------------------------------------------------ *)
+type trees_c =
+  | Trees_c_eager of Tree_routing.compiled Compiled.Table.t
+  | Trees_c_lazy of lazy_trees (* the cache holds each tree's tables *)
 
 type compiled = {
   base : t;
   vic_c : Vicinity.compiled array;
   lemma8_c : Seq_routing2.compiled;
-  cluster_trees_c : Tree_routing.compiled Compiled.Table.t option;
-      (* [None] on a lazy store: the per-hop tree dispatch falls back to
-         the interpreted [Tree_routing.step] on the on-demand tree, which
-         makes the same decision. *)
+  cluster_trees_c : trees_c;
 }
 
 (* The vicinity family is physically shared with the embedded Lemma 8
    instance, so its compiled form is reused rather than rebuilt. The
-   cluster-label fetch at [z] happens once per route and stays
-   interpreted; the per-hop tree dispatch is compiled on an eager store. *)
+   cluster-label fetch at [z] happens once per route, on the build-time
+   tree. *)
 let compile t =
   let lemma8_c = Seq_routing2.compile t.lemma8 in
   {
@@ -334,71 +303,72 @@ let compile t =
     cluster_trees_c =
       (match t.trees with
       | Trees_eager tbl ->
-        Some
+        Trees_c_eager
           (Compiled.Table.map Tree_routing.compile (Compiled.Table.of_hashtbl tbl))
-      | Trees_lazy _ -> None);
+      | Trees_lazy cache -> Trees_c_lazy cache);
   }
 
-let rec step_fast c ~at h =
+let rec step c ~at h =
   let t = c.base in
   let dst = h.lbl.vertex in
   match h.phase with
   | Direct ->
     if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst, h)
   | Cluster_tree (root, lbl) -> (
-    let d =
+    let tree =
       match c.cluster_trees_c with
-      | Some tbl -> Tree_routing.step_c (Compiled.Table.find tbl root) ~at lbl
-      | None -> (
-        match cluster_tree_at t root with
-        | Some tr -> Tree_routing.step tr ~at lbl
+      | Trees_c_eager tbl -> Compiled.Table.find tbl root
+      | Trees_c_lazy cache -> (
+        match lazy_tree t cache root with
+        | Some e -> e.tables
         | None -> raise Not_found)
     in
-    match d with
+    match Tree_routing.step tree ~at lbl with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
   | Seek_rep w ->
     if at = w then
       if w = h.lbl.p_a then
+        (* The representative happens to be the destination's center. *)
         if at = dst then Port_model.Deliver
-        else step_fast c ~at { h with phase = To_z }
+        else step c ~at { h with phase = To_z }
       else
-        step_fast c ~at
+        step c ~at
           { h with
             phase =
               Lemma8 (Seq_routing2.initial_header t.lemma8 ~src:w ~dst:h.lbl.p_a)
           }
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
   | Lemma8 ih -> (
-    match Seq_routing2.step_c c.lemma8_c ~at ih with
+    match Seq_routing2.step c.lemma8_c ~at ih with
     | Port_model.Deliver ->
+      (* Arrived at p_A(v). *)
       if at = dst then Port_model.Deliver
-      else step_fast c ~at { h with phase = To_z }
+      else step c ~at { h with phase = To_z }
     | Port_model.Forward (p, ih') ->
       Port_model.Forward (p, { h with phase = Lemma8 ih' }))
   | To_z ->
     if at = h.lbl.z then
-      step_fast c ~at { h with phase = Cluster_tree (at, member_label t at dst) }
+      step c ~at { h with phase = Cluster_tree (at, member_label t at dst) }
     else begin
       match Graph.port_to t.graph at h.lbl.z with
       | Some p -> Port_model.Forward (p, h)
       | None -> invalid_arg "Scheme5eps.step: stored first edge missing"
     end
 
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
+let route c ~faults ~record_path ~detect_loops ~src ~dst =
   let t = c.base in
   let lbl = label_of t dst in
   if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step c ~at h)
       ~header_words
 
 let instance t =
@@ -406,11 +376,7 @@ let instance t =
   {
     Scheme.name = "roditty-tov-5eps";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route = route c;
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes = Vicinity.payload_bytes t.vic;

@@ -80,24 +80,6 @@ let header_words h =
       | Seek _ -> 1
       | Inner ih -> Seq_routing.header_words ih)
 
-let rec step t ~at h =
-  match h.phase with
-  | Inner ih -> (
-    match Seq_routing.step t.lemma7 ~at ih with
-    | Port_model.Deliver -> Port_model.Deliver
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Inner ih' }))
-  | Direct ->
-    if at = h.dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:h.dst, h)
-  | Seek w ->
-    if at = w then
-      step t ~at
-        { h with
-          phase = Inner (Seq_routing.initial_header t.lemma7 ~src:w ~dst:h.dst)
-        }
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-
 (* The source computes the destination's color from its name alone. *)
 let initial_header t ~src ~dst =
   if Vicinity.mem t.vic.(src) dst then { dst; phase = Direct }
@@ -106,18 +88,7 @@ let initial_header t ~src ~dst =
     { dst; phase = Seek w }
   end
 
-let route ?faults t ~src ~dst =
-  if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ dst; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src ~dst)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
+(* --- routing tables ------------------------------------------------------- *)
 
 type compiled = {
   base : t;
@@ -131,37 +102,36 @@ let compile t =
   let lemma7_c = Seq_routing.compile t.lemma7 in
   { base = t; vic_c = Seq_routing.compiled_vicinities lemma7_c; lemma7_c }
 
-let rec step_fast c ~at h =
+let rec step c ~at h =
   match h.phase with
   | Inner ih -> (
-    match Seq_routing.step_c c.lemma7_c ~at ih with
+    match Seq_routing.step c.lemma7_c ~at ih with
     | Port_model.Deliver -> Port_model.Deliver
     | Port_model.Forward (p, ih') ->
       Port_model.Forward (p, { h with phase = Inner ih' }))
   | Direct ->
     if at = h.dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:h.dst, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:h.dst, h)
   | Seek w ->
     if at = w then
-      step_fast c ~at
+      step c ~at
         { h with
           phase =
             Inner (Seq_routing.initial_header c.base.lemma7 ~src:w ~dst:h.dst)
         }
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
 
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
+let route c ~faults ~record_path ~detect_loops ~src ~dst =
   let t = c.base in
   if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:{ dst; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:(initial_header t ~src ~dst)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step c ~at h)
       ~header_words
 
 let instance t =
@@ -169,11 +139,7 @@ let instance t =
   {
     Scheme.name = "roditty-tov-3eps-name-independent";
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route = route c;
     table_words = t.table_words;
     label_words = Array.make (Graph.n t.graph) 0;
     big_bytes = Vicinity.payload_bytes t.vic;

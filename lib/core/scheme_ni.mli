@@ -29,8 +29,6 @@ val color_of_name : t -> int -> int
 (** [color_of_name t v] is the hash color any vertex computes for name [v]
     — the only destination information routing uses. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-
 val instance : t -> Scheme.instance
 (** The instance reports zero label words: the scheme is name-independent. *)
 

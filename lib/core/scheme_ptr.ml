@@ -286,55 +286,6 @@ let header_words h =
     | Lemma8 (_, _, ih) -> 2 + Seq_routing2.header_words ih
     | To_z _ -> 1)
 
-let rec step t ~at h =
-  let dst = h.lbl.vertex in
-  match h.phase with
-  | Direct ->
-    if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst, h)
-  | To_witness (lev, w) ->
-    if at = w then begin
-      let labels = Hashtbl.find t.cluster_labels.(lev) w in
-      step t ~at { h with phase = Cluster_tree (lev, w, Hashtbl.find labels dst) }
-    end
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-  | Cluster_tree (lev, root, lbl) -> (
-    let tree = Hashtbl.find t.cluster_trees.(lev) root in
-    match Tree_routing.step tree ~at lbl with
-    | `Deliver -> Port_model.Deliver
-    | `Forward p -> Port_model.Forward (p, h))
-  | Seek_rep (j, w) ->
-    if at = w then begin
-      let k = dest_level t.variant t.ell j in
-      let p = h.lbl.pivots.(k).p in
-      if w = p then
-        if at = dst then Port_model.Deliver else step t ~at { h with phase = To_z k }
-      else begin
-        let l8 = Option.get t.lemma8.(j) in
-        step t ~at
-          { h with phase = Lemma8 (j, k, Seq_routing2.initial_header l8 ~src:w ~dst:p) }
-      end
-    end
-    else Port_model.Forward (Vicinity.step t.vic ~at ~dst:w, h)
-  | Lemma8 (j, k, ih) -> (
-    let l8 = Option.get t.lemma8.(j) in
-    match Seq_routing2.step l8 ~at ih with
-    | Port_model.Deliver ->
-      if at = dst then Port_model.Deliver else step t ~at { h with phase = To_z k }
-    | Port_model.Forward (p, ih') ->
-      Port_model.Forward (p, { h with phase = Lemma8 (j, k, ih') }))
-  | To_z k ->
-    let z = h.lbl.pivots.(k).z in
-    if at = z then begin
-      let labels = Hashtbl.find t.cluster_labels.(k) at in
-      step t ~at { h with phase = Cluster_tree (k, at, Hashtbl.find labels dst) }
-    end
-    else begin
-      match Graph.port_to t.graph at z with
-      | Some p -> Port_model.Forward (p, h)
-      | None -> invalid_arg "Scheme_ptr.step: stored first edge missing"
-    end
-
 (* The source decision: vicinity membership (the level-ell intersection
    convention), then the witness table, then the Lemma 12/14 level choice. *)
 let initial_header t ~src lbl =
@@ -368,19 +319,7 @@ let initial_header t ~src lbl =
       let w, _ = t.reps.(j).(src).(group) in
       { lbl; phase = Seek_rep (j, w) }
 
-let route ?faults t ~src ~dst =
-  let lbl = t.labels.(dst) in
-  if src = dst then
-    Scheme_util.run_scheme ?faults t.graph ~src ~header:{ lbl; phase = Direct }
-      ~step:(fun ~at:_ _ -> Port_model.Deliver)
-      ~header_words
-  else
-    Scheme_util.run_scheme ?faults t.graph ~src
-      ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step t ~at h)
-      ~header_words
-
-(* --- compiled form ------------------------------------------------------ *)
+(* --- routing tables ------------------------------------------------------- *)
 
 type compiled = {
   base : t;
@@ -392,8 +331,8 @@ type compiled = {
 (* The scheme's own hops walk the level-ell vicinity family, which is not
    the family inside any Lemma 8 instance (those use the per-level
    families), so it is compiled here; each Lemma 8 instance compiles its
-   own. Witness and cluster-label fetches happen once per route and stay
-   interpreted. *)
+   own. Witness and cluster-label fetches happen once per route, from the
+   build-time hashtables. *)
 let compile t =
   {
     base = t;
@@ -406,23 +345,23 @@ let compile t =
     lemma8_c = Array.map (Option.map Seq_routing2.compile) t.lemma8;
   }
 
-let rec step_fast c ~at h =
+let rec step c ~at h =
   let t = c.base in
   let dst = h.lbl.vertex in
   match h.phase with
   | Direct ->
     if at = dst then Port_model.Deliver
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst, h)
   | To_witness (lev, w) ->
     if at = w then begin
       let labels = Hashtbl.find t.cluster_labels.(lev) w in
-      step_fast c ~at
+      step c ~at
         { h with phase = Cluster_tree (lev, w, Hashtbl.find labels dst) }
     end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
   | Cluster_tree (lev, root, lbl) -> (
     let tree = Compiled.Table.find c.cluster_trees_c.(lev) root in
-    match Tree_routing.step_c tree ~at lbl with
+    match Tree_routing.step tree ~at lbl with
     | `Deliver -> Port_model.Deliver
     | `Forward p -> Port_model.Forward (p, h))
   | Seek_rep (j, w) ->
@@ -431,29 +370,29 @@ let rec step_fast c ~at h =
       let p = h.lbl.pivots.(k).p in
       if w = p then
         if at = dst then Port_model.Deliver
-        else step_fast c ~at { h with phase = To_z k }
+        else step c ~at { h with phase = To_z k }
       else begin
         let l8 = Option.get t.lemma8.(j) in
-        step_fast c ~at
+        step c ~at
           { h with
             phase = Lemma8 (j, k, Seq_routing2.initial_header l8 ~src:w ~dst:p)
           }
       end
     end
-    else Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:w, h)
+    else Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:w, h)
   | Lemma8 (j, k, ih) -> (
     let l8 = Option.get c.lemma8_c.(j) in
-    match Seq_routing2.step_c l8 ~at ih with
+    match Seq_routing2.step l8 ~at ih with
     | Port_model.Deliver ->
       if at = dst then Port_model.Deliver
-      else step_fast c ~at { h with phase = To_z k }
+      else step c ~at { h with phase = To_z k }
     | Port_model.Forward (p, ih') ->
       Port_model.Forward (p, { h with phase = Lemma8 (j, k, ih') }))
   | To_z k ->
     let z = h.lbl.pivots.(k).z in
     if at = z then begin
       let labels = Hashtbl.find t.cluster_labels.(k) at in
-      step_fast c ~at
+      step c ~at
         { h with phase = Cluster_tree (k, at, Hashtbl.find labels dst) }
     end
     else begin
@@ -462,19 +401,18 @@ let rec step_fast c ~at h =
       | None -> invalid_arg "Scheme_ptr.step: stored first edge missing"
     end
 
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) c ~src
-    ~dst =
+let route c ~faults ~record_path ~detect_loops ~src ~dst =
   let t = c.base in
   let lbl = t.labels.(dst) in
   if src = dst then
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:{ lbl; phase = Direct }
       ~step:(fun ~at:_ _ -> Port_model.Deliver)
       ~header_words
   else
-    Scheme_util.run_scheme ?faults ~record_path ~detect_loops t.graph ~src
+    Scheme_util.run_scheme ~faults ~record_path ~detect_loops t.graph ~src
       ~header:(initial_header t ~src lbl)
-      ~step:(fun ~at h -> step_fast c ~at h)
+      ~step:(fun ~at h -> step c ~at h)
       ~header_words
 
 let instance t =
@@ -487,11 +425,7 @@ let instance t =
   {
     Scheme.name;
     graph = t.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    fast =
-      Some
-        (fun ~faults ~record_path ~detect_loops ~src ~dst ->
-          route_fast ?faults ~record_path ~detect_loops c ~src ~dst);
+    route = route c;
     table_words = t.table_words;
     label_words = t.label_words;
     big_bytes =

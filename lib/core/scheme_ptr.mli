@@ -38,8 +38,6 @@ val preprocess :
     per-level vicinity families, center samples and cluster trees with
     other schemes on the same handle. *)
 
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-
 val instance : t -> Scheme.instance
 
 val stretch_bound : t -> float * float

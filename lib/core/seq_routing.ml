@@ -25,7 +25,7 @@ type packed_seq = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1
    are bit-identical across modes. The hitting set and its trees stay
    eager in both modes: there are only O~(n/q~) of them, shared by every
    pair, and the escape-hatch labels embedded in sequences point into
-   them. [route_fast] runs on pool worker domains: a miss builds outside
+   them. Routing runs on pool worker domains: a miss builds outside
    the cache's lock (see [Fifo_cache]), in a workspace borrowed from
    [Dijkstra.with_scratch]. The [Substrate] handle is never touched after
    preprocess. *)
@@ -292,42 +292,7 @@ let header_bits t h =
     acc := !acc + id_bits + snd (Tree_routing.encode_label tree lbl));
   !acc
 
-let rec step t ~at h =
-  if h.in_tree then begin
-    match h.tail with
-    | To_tree (w, lbl) -> (
-      let tree = Hashtbl.find t.trees w in
-      match Tree_routing.step tree ~at lbl with
-      | `Deliver -> Port_model.Deliver
-      | `Forward p -> Port_model.Forward (p, h))
-    | To_target -> invalid_arg "Seq_routing.step: corrupt header"
-  end
-  else if h.idx >= Array.length h.hops then begin
-    match h.tail with
-    | To_target ->
-      if at = h.dst then Port_model.Deliver
-      else invalid_arg "Seq_routing.step: sequence exhausted off target"
-    | To_tree _ -> step t ~at { h with in_tree = true }
-  end
-  else begin
-    let hop = h.hops.(h.idx) in
-    let target = hop_vertex hop in
-    if at = target then step t ~at { h with idx = h.idx + 1 }
-    else
-      match hop with
-      | Via x -> Port_model.Forward (Vicinity.step t.vic ~at ~dst:x, h)
-      | Jump (_, port) -> Port_model.Forward (port, h)
-  end
-
-let route ?faults t ~src ~dst =
-  let header = initial_header t ~src ~dst in
-  Port_model.run t.graph ~src ~header ?faults
-    ~step:(fun ~at h -> step t ~at h)
-    ~header_words
-    ~max_hops:((16 * Graph.n t.graph) + 64)
-    ()
-
-(* --- compiled form ------------------------------------------------------ *)
+(* --- routing tables ------------------------------------------------------- *)
 
 type compiled = {
   base : t;
@@ -345,12 +310,12 @@ let compile t =
 
 let compiled_vicinities c = c.vic_c
 
-let rec step_c c ~at h =
+let rec step c ~at h =
   if h.in_tree then begin
     match h.tail with
     | To_tree (w, lbl) -> (
       let tree = Compiled.Table.find c.trees_c w in
-      match Tree_routing.step_c tree ~at lbl with
+      match Tree_routing.step tree ~at lbl with
       | `Deliver -> Port_model.Deliver
       | `Forward p -> Port_model.Forward (p, h))
     | To_target -> invalid_arg "Seq_routing.step: corrupt header"
@@ -360,17 +325,26 @@ let rec step_c c ~at h =
     | To_target ->
       if at = h.dst then Port_model.Deliver
       else invalid_arg "Seq_routing.step: sequence exhausted off target"
-    | To_tree _ -> step_c c ~at { h with in_tree = true }
+    | To_tree _ -> step c ~at { h with in_tree = true }
   end
   else begin
     let hop = h.hops.(h.idx) in
     let target = hop_vertex hop in
-    if at = target then step_c c ~at { h with idx = h.idx + 1 }
+    if at = target then step c ~at { h with idx = h.idx + 1 }
     else
       match hop with
-      | Via x -> Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:x, h)
+      | Via x -> Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:x, h)
       | Jump (_, port) -> Port_model.Forward (port, h)
   end
+
+let route ?faults c ~src ~dst =
+  let t = c.base in
+  let header = initial_header t ~src ~dst in
+  Port_model.run t.graph ~src ~header ?faults
+    ~step:(fun ~at h -> step c ~at h)
+    ~header_words
+    ~max_hops:((16 * Graph.n t.graph) + 64)
+    ()
 
 (* --- snapshot form ------------------------------------------------------ *)
 

@@ -51,18 +51,12 @@ val initial_header : t -> src:int -> dst:int -> header
 (** Reads the sequence stored {e at [src]} for [dst]; both must belong to
     the same part. @raise Not_found if no sequence is stored. *)
 
-val step : t -> at:int -> header -> header Port_model.decision
-(** One local forwarding decision. *)
-
 val header_words : header -> int
 
 val header_bits : t -> header -> int
 (** Exact bit size of the header under the natural encoding (hop tags,
     vertex ids, ports, plus the encoded tree label when the escape hatch is
     armed) — the Lemma 7 headers are O((1/eps) log n + log^2 n) bits. *)
-
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
-(** End-to-end simulation through the port model. *)
 
 val eps : t -> float
 
@@ -77,12 +71,12 @@ val breakdown : t -> (string * int) list
 (** Aggregate (whole-network) space split into components:
     ["vicinities"], ["tree-records"], ["sequences"]. *)
 
-(** {1 Compiled form} *)
+(** {1 Routing} *)
 
 type compiled
-(** The forwarding hot path with the vicinity family and hitting-set trees
-    compiled to flat sorted arrays. Decisions are identical to {!step};
-    [table_words] is a property of the logical tables and does not change. *)
+(** The routing tables: the vicinity family and hitting-set trees compiled
+    to flat sorted arrays. [table_words] is a property of the logical
+    tables and does not change. *)
 
 val compile : t -> compiled
 
@@ -91,8 +85,12 @@ val compiled_vicinities : compiled -> Vicinity.compiled array
     schemes that embed this instance, since they route over the same
     physical vicinities. *)
 
-val step_c : compiled -> at:int -> header -> header Port_model.decision
-(** Identical decision to {!step} for every reachable [(at, header)]. *)
+val step : compiled -> at:int -> header -> header Port_model.decision
+(** One local forwarding decision. *)
+
+val route :
+  ?faults:Fault.plan -> compiled -> src:int -> dst:int -> Port_model.outcome
+(** End-to-end simulation through the port model. *)
 
 (** {1 Snapshot form} *)
 

@@ -293,35 +293,7 @@ let header_bits t h =
   done;
   !acc
 
-let rec step t ~at h =
-  if h.idx >= Array.length h.hops then begin
-    match h.terminal with
-    | At_dst ->
-      if at = h.dst then Port_model.Deliver
-      else invalid_arg "Seq_routing2.step: sequence exhausted off target"
-    | Relay r ->
-      if at <> r then invalid_arg "Seq_routing2.step: relay mismatch"
-      else step t ~at (initial_header t ~src:r ~dst:h.dst)
-  end
-  else begin
-    let hop = h.hops.(h.idx) in
-    let target = hop_vertex hop in
-    if at = target then step t ~at { h with idx = h.idx + 1 }
-    else
-      match hop with
-      | Via x -> Port_model.Forward (Vicinity.step t.vic ~at ~dst:x, h)
-      | Jump (_, port) -> Port_model.Forward (port, h)
-  end
-
-let route ?faults t ~src ~dst =
-  let header = initial_header t ~src ~dst in
-  Port_model.run t.graph ~src ~header ?faults
-    ~step:(fun ~at h -> step t ~at h)
-    ~header_words
-    ~max_hops:((64 * Graph.n t.graph) + 256)
-    ()
-
-(* --- compiled form ------------------------------------------------------ *)
+(* --- routing tables ------------------------------------------------------- *)
 
 type compiled = { base : t; vic_c : Vicinity.compiled array }
 
@@ -329,7 +301,7 @@ let compile t = { base = t; vic_c = Array.map Vicinity.compile t.vic }
 
 let compiled_vicinities c = c.vic_c
 
-let rec step_c c ~at h =
+let rec step c ~at h =
   if h.idx >= Array.length h.hops then begin
     match h.terminal with
     | At_dst ->
@@ -337,19 +309,28 @@ let rec step_c c ~at h =
       else invalid_arg "Seq_routing2.step: sequence exhausted off target"
     | Relay r ->
       if at <> r then invalid_arg "Seq_routing2.step: relay mismatch"
-        (* The relay's own sequence is fetched once per relay point; the
-           seqs store stays interpreted, only per-hop work is compiled. *)
-      else step_c c ~at (initial_header c.base ~src:r ~dst:h.dst)
+        (* The relay's own sequence is fetched once per relay point from
+           the build-time store; only per-hop work reads compiled tables. *)
+      else step c ~at (initial_header c.base ~src:r ~dst:h.dst)
   end
   else begin
     let hop = h.hops.(h.idx) in
     let target = hop_vertex hop in
-    if at = target then step_c c ~at { h with idx = h.idx + 1 }
+    if at = target then step c ~at { h with idx = h.idx + 1 }
     else
       match hop with
-      | Via x -> Port_model.Forward (Vicinity.step_c c.vic_c ~at ~dst:x, h)
+      | Via x -> Port_model.Forward (Vicinity.step c.vic_c ~at ~dst:x, h)
       | Jump (_, port) -> Port_model.Forward (port, h)
   end
+
+let route ?faults c ~src ~dst =
+  let t = c.base in
+  let header = initial_header t ~src ~dst in
+  Port_model.run t.graph ~src ~header ?faults
+    ~step:(fun ~at h -> step c ~at h)
+    ~header_words
+    ~max_hops:((64 * Graph.n t.graph) + 256)
+    ()
 
 (* --- snapshot form ------------------------------------------------------ *)
 

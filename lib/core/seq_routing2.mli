@@ -52,15 +52,11 @@ val initial_header : t -> src:int -> dst:int -> header
 (** Reads the sequence stored at [src ∈ U_i] for [dst ∈ W_i].
     @raise Not_found if no sequence is stored for the pair. *)
 
-val step : t -> at:int -> header -> header Port_model.decision
-
 val header_words : header -> int
 
 val header_bits : t -> header -> int
 (** Exact bit size of the header under the natural encoding — the Lemma 8
     headers are O((1/eps) log(nD)) bits. *)
-
-val route : ?faults:Fault.plan -> t -> src:int -> dst:int -> Port_model.outcome
 
 val eps : t -> float
 
@@ -74,12 +70,11 @@ val max_sequence_hops : t -> int
 val breakdown : t -> (string * int) list
 (** Aggregate space split: ["vicinities"], ["sequences"]. *)
 
-(** {1 Compiled form} *)
+(** {1 Routing} *)
 
 type compiled
-(** The forwarding hot path with the vicinity family compiled to flat
-    sorted arrays (the sequence store is consulted once per relay point and
-    stays interpreted). Decisions are identical to {!step}. *)
+(** The routing tables: the vicinity family compiled to flat sorted arrays.
+    The build-time sequence store is consulted once per relay point. *)
 
 val compile : t -> compiled
 
@@ -87,8 +82,12 @@ val compiled_vicinities : compiled -> Vicinity.compiled array
 (** The compiled [B(u, q~)] family — shared (not re-compiled) by the
     schemes that embed this instance. *)
 
-val step_c : compiled -> at:int -> header -> header Port_model.decision
-(** Identical decision to {!step} for every reachable [(at, header)]. *)
+val step : compiled -> at:int -> header -> header Port_model.decision
+(** One local forwarding decision. *)
+
+val route :
+  ?faults:Fault.plan -> compiled -> src:int -> dst:int -> Port_model.outcome
+(** End-to-end simulation through the port model. *)
 
 (** {1 Snapshot form} *)
 

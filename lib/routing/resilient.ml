@@ -145,8 +145,14 @@ let detour_run t plan ~src ~dst =
 
 (* --- the recovery ladder -------------------------------------------------- *)
 
+(* Sub-routes always record their paths, which [merge] joins, and always
+   detect loops, so a looping attempt stops where the loop closes and
+   recovery starts from there. *)
+let sub_route t ~faults ~src ~dst =
+  t.inst.Scheme.route ~faults ~record_path:true ~detect_loops:true ~src ~dst
+
 let route ?faults t ~src ~dst =
-  let bare = t.inst.Scheme.route ~faults ~src ~dst in
+  let bare = sub_route t ~faults ~src ~dst in
   match faults with
   | None -> bare
   | Some plan when Fault.is_empty plan -> bare
@@ -178,7 +184,7 @@ let route ?faults t ~src ~dst =
               recover segs (budget - 1) hop
             else begin
               let from = hop.Port_model.final in
-              let o' = t.inst.Scheme.route ~faults ~src:from ~dst in
+              let o' = sub_route t ~faults ~src:from ~dst in
               let segs = o' :: segs in
               if Port_model.delivered_to o' dst then merge (List.rev segs)
               else recover segs (budget - 1) o'
@@ -207,10 +213,10 @@ let instance t =
   {
     Scheme.name = base.Scheme.name ^ "+res";
     graph = base.Scheme.graph;
-    route = (fun ~faults ~src ~dst -> route ?faults t ~src ~dst);
-    (* The recovery ladder composes whole sub-routes and inspects their
-       paths; it has no compiled plane. *)
-    fast = None;
+    route =
+      (fun ~faults ~record_path ~detect_loops:_ ~src ~dst ->
+        let o = route ?faults t ~src ~dst in
+        if record_path then o else { o with Port_model.path = [] });
     table_words =
       Array.init n (fun v -> base.Scheme.table_words.(v) + tree_words v);
     label_words = Array.copy base.Scheme.label_words;

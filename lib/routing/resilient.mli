@@ -55,4 +55,7 @@ val route :
 val instance : t -> Scheme.instance
 (** Catalog-compatible view. The name gains a ["+res"] suffix; per-vertex
     table sizes grow by the spanning-tree routing record
-    ({!Tree_routing.table_words}); labels are unchanged. *)
+    ({!Tree_routing.table_words}); labels are unchanged. Its route runs
+    {!route}: sub-routes always record paths and detect loops, whatever
+    the caller's knobs, and [~record_path:false] only drops the merged
+    path from the outcome. *)

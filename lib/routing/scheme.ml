@@ -1,53 +1,29 @@
 open Cr_graph
 
-type fast_route =
-  faults:Fault.plan option ->
-  record_path:bool ->
-  detect_loops:bool ->
-  src:int ->
-  dst:int ->
-  Port_model.outcome
-
 type instance = {
   name : string;
   graph : Graph.t;
-  route : faults:Fault.plan option -> src:int -> dst:int -> Port_model.outcome;
-  fast : fast_route option;
+  route :
+    faults:Fault.plan option ->
+    record_path:bool ->
+    detect_loops:bool ->
+    src:int ->
+    dst:int ->
+    Port_model.outcome;
   table_words : int array;
   label_words : int array;
   big_bytes : int;
 }
 
-(* Telemetry wrapper for one route served by the given plane: stamps the
-   ambient plane for trace events and records wall time into the "route"
-   histogram. Only entered when telemetry is on — the disabled path calls
-   the router directly and allocates nothing. *)
-let tel_route plane f =
-  Telemetry.set_plane plane;
-  Telemetry.timed "route" f
-
-let route ?faults inst ~src ~dst =
+(* Only the enabled path pays for the timing closure; the disabled path
+   calls the router directly and allocates nothing. *)
+let route ?faults ?(record_path = true) ?(detect_loops = true) inst ~src ~dst =
   if !Telemetry.on then
-    tel_route Telemetry.Interpreted (fun () -> inst.route ~faults ~src ~dst)
-  else inst.route ~faults ~src ~dst
+    Telemetry.timed "route" (fun () ->
+        inst.route ~faults ~record_path ~detect_loops ~src ~dst)
+  else inst.route ~faults ~record_path ~detect_loops ~src ~dst
 
-let has_fast inst = inst.fast <> None
-
-let route_fast ?faults ?(record_path = true) ?(detect_loops = true) inst ~src
-    ~dst =
-  match inst.fast with
-  | Some f ->
-    if !Telemetry.on then begin
-      let tc = Telemetry.counters_shard () in
-      tc.Telemetry.fast_plane_hits <- tc.Telemetry.fast_plane_hits + 1;
-      tel_route Telemetry.Compiled (fun () ->
-          f ~faults ~record_path ~detect_loops ~src ~dst)
-    end
-    else f ~faults ~record_path ~detect_loops ~src ~dst
-  | None ->
-    if !Telemetry.on then
-      tel_route Telemetry.Interpreted (fun () -> inst.route ~faults ~src ~dst)
-    else inst.route ~faults ~src ~dst
+let route_fast = route
 
 let max_table_words i = Array.fold_left max 0 i.table_words
 
@@ -140,7 +116,10 @@ let evaluate_under_faults ?faults inst apsp pairs =
         (fun (u, v) ->
           let d = Apsp.dist apsp u v in
           if d <> infinity && d > 0.0 then begin
-            let o = inst.route ~faults ~src:u ~dst:v in
+            let o =
+              inst.route ~faults ~record_path:true ~detect_loops:true ~src:u
+                ~dst:v
+            in
             observe_peak o.Port_model.header_words_peak;
             if Port_model.delivered_to o v then sample d o.Port_model.length
             else failure ()
@@ -164,35 +143,21 @@ type slot =
    matrix. Everything else — sharding, slots, serial pair-order merge — is
    shared, so both are bit-identical to a serial sweep over the same
    router. *)
-let batch_core ?pool ?faults ~fast ?verdicts inst np get =
+let batch_core ?pool ?faults ?verdicts inst np get =
   let pool = match pool with Some p -> p | None -> Pool.default () in
-  let is_fast = match inst.fast with Some _ -> fast | None -> false in
-  let route_one =
-    match inst.fast with
-    | Some f when fast ->
-      fun ~src ~dst ->
-        f ~faults ~record_path:false ~detect_loops:false ~src ~dst
-    | _ -> fun ~src ~dst -> inst.route ~faults ~src ~dst
+  let route_one ~src ~dst =
+    inst.route ~faults ~record_path:false ~detect_loops:false ~src ~dst
   in
-  (* The ambient plane is stamped once, before the pool spawns its
-     workers; every worker then increments its own counter shard and
-     records latencies into its own histogram shard, so the sweep needs no
-     synchronization and the merged totals match a serial run exactly. *)
-  if !Telemetry.on then
-    Telemetry.set_plane
-      (if is_fast then Telemetry.Compiled else Telemetry.Interpreted);
+  (* Every worker increments its own counter shard and records latencies
+     into its own histogram shard, so the sweep needs no synchronization
+     and the merged totals match a serial run exactly. *)
   let slots = Array.make np Skipped in
   Pool.iter pool ~n:np (fun i ->
       let u, v, d = get i in
       if d <> infinity && d > 0.0 then begin
         let o =
-          if !Telemetry.on then begin
-            if is_fast then begin
-              let tc = Telemetry.counters_shard () in
-              tc.Telemetry.fast_plane_hits <- tc.Telemetry.fast_plane_hits + 1
-            end;
+          if !Telemetry.on then
             Telemetry.timed "route" (fun () -> route_one ~src:u ~dst:v)
-          end
           else route_one ~src:u ~dst:v
         in
         slots.(i) <-
@@ -225,16 +190,16 @@ let batch_core ?pool ?faults ~fast ?verdicts inst np get =
             failure ())
         slots)
 
-let evaluate_batch ?pool ?faults ?(fast = true) ?verdicts inst apsp pairs =
+let evaluate_batch ?pool ?faults ?verdicts inst apsp pairs =
   let pairs = Array.of_list pairs in
-  batch_core ?pool ?faults ~fast ?verdicts inst (Array.length pairs)
+  batch_core ?pool ?faults ?verdicts inst (Array.length pairs)
     (fun i ->
       let u, v = pairs.(i) in
       (u, v, Apsp.dist apsp u v))
 
-let evaluate_sampled ?pool ?faults ?(fast = true) ?verdicts inst pairs =
+let evaluate_sampled ?pool ?faults ?verdicts inst pairs =
   let pairs = Array.of_list pairs in
-  batch_core ?pool ?faults ~fast ?verdicts inst (Array.length pairs)
+  batch_core ?pool ?faults ?verdicts inst (Array.length pairs)
     (fun i ->
       let (u, v), d = pairs.(i) in
       (u, v, d))

@@ -8,35 +8,26 @@ open Cr_graph
     This matches how the paper states table sizes (entries of O(log n) bits)
     and is robust to machine word width. *)
 
-type fast_route =
-  faults:Fault.plan option ->
-  record_path:bool ->
-  detect_loops:bool ->
-  src:int ->
-  dst:int ->
-  Port_model.outcome
-(** The compiled forwarding plane of a scheme: same decisions as the
-    interpreted route (the qcheck suite enforces verdict/path/length
-    equality pair by pair), served from flat compiled tables (see
-    {!Compiled}), with the simulator's path recording and loop detection
-    under caller control. *)
-
 type instance = {
   name : string;
   graph : Graph.t;
-  route : faults:Fault.plan option -> src:int -> dst:int -> Port_model.outcome;
-      (** Simulates one message through the fixed-port simulator, optionally
-          under a fault plan (see {!Fault}); [~faults:None] is the
-          healthy-network run. Prefer the {!route} helper, which makes the
-          plan an ordinary optional argument. *)
-  fast : fast_route option;
-      (** The compiled forwarding plane, when the scheme provides one
-          ([None] e.g. for {!Resilient}-wrapped instances). Prefer the
-          {!route_fast} helper, which falls back to [route]. *)
+  route :
+    faults:Fault.plan option ->
+    record_path:bool ->
+    detect_loops:bool ->
+    src:int ->
+    dst:int ->
+    Port_model.outcome;
+      (** Simulates one message through the fixed-port simulator over the
+          scheme's routing tables (flat compiled arrays, see {!Compiled}),
+          optionally under a fault plan (see {!Fault}); [~faults:None] is
+          the healthy-network run. [record_path] and [detect_loops] are the
+          simulator's knobs (see {!Port_model.run}). Prefer the {!route}
+          helper, which makes all three ordinary optional arguments. *)
   table_words : int array;
-      (** [table_words.(v)] = routing-table size of vertex [v], in words.
-          A property of the logical tables — identical for the interpreted
-          and compiled planes. *)
+      (** [table_words.(v)] = routing-table size of vertex [v], in words —
+          a property of the logical tables, not of their compiled
+          layout. *)
   label_words : int array;
       (** [label_words.(v)] = size of [v]'s routing label, in words. *)
   big_bytes : int;
@@ -48,11 +39,19 @@ type instance = {
 }
 
 val route :
-  ?faults:Fault.plan -> instance -> src:int -> dst:int -> Port_model.outcome
-(** [route inst ~src ~dst] simulates one message; [?faults] subjects the run
-    to a fault plan. This is the ergonomic front for [inst.route]. With
-    telemetry enabled the call is timed into the ["route"] latency
-    histogram and trace events carry the [Interpreted] plane. *)
+  ?faults:Fault.plan ->
+  ?record_path:bool ->
+  ?detect_loops:bool ->
+  instance ->
+  src:int ->
+  dst:int ->
+  Port_model.outcome
+(** [route inst ~src ~dst] simulates one message; [?faults] subjects the
+    run to a fault plan. Both knobs default to [true]; with
+    [~record_path:false] the outcome's [path] is [[]] but every other
+    field is unchanged. The throughput engine runs with both off, relying
+    on the simulator's hop budget. With telemetry enabled the call is
+    timed into the ["route"] latency histogram. *)
 
 val route_fast :
   ?faults:Fault.plan ->
@@ -62,17 +61,7 @@ val route_fast :
   src:int ->
   dst:int ->
   Port_model.outcome
-(** Route through the compiled forwarding plane when the instance has one,
-    else through [inst.route] (in which case the two optional knobs are
-    moot — the interpreted route always records and detects). Both knobs
-    default to [true]; with [~record_path:false] the outcome's [path] is
-    [[]] but every other field is unchanged. The throughput engine runs
-    with both off, relying on the simulator's hop budget. With telemetry
-    enabled the call is timed into the ["route"] histogram, counts a
-    [fast_plane_hits] when the compiled plane serves it, and stamps the
-    ambient plane ([Compiled] or [Interpreted]) for trace events. *)
-
-val has_fast : instance -> bool
+(** Alias of {!route}, kept for existing callers. *)
 
 val max_table_words : instance -> int
 
@@ -111,7 +100,6 @@ val evaluate_under_faults :
 val evaluate_batch :
   ?pool:Pool.t ->
   ?faults:Fault.plan ->
-  ?fast:bool ->
   ?verdicts:int array ->
   instance ->
   Apsp.t ->
@@ -121,11 +109,10 @@ val evaluate_batch :
     domain pool (default {!Pool.default}), routes each pair independently
     into its own slot, and merges the slots in pair order — so the eval is
     bit-identical to the serial {!evaluate} over the same router regardless
-    of domain count or scheduling. With [~fast:true] (the default) pairs
-    route through the compiled plane with path recording and loop detection
-    off; [~fast:false] uses [inst.route] exactly as {!evaluate} does, and
-    then the result is bit-identical to {!evaluate_under_faults}
-    unconditionally.
+    of domain count or scheduling. Pairs route with path recording and
+    loop detection off: a looping run still fails, on the hop budget
+    instead of as [Loop_detected], so the eval equals
+    {!evaluate_under_faults} over the same pairs.
 
     With telemetry enabled each routed pair is timed into the ["route"]
     histogram and counted on the worker domain's own shard;
@@ -144,7 +131,6 @@ val evaluate_batch :
 val evaluate_sampled :
   ?pool:Pool.t ->
   ?faults:Fault.plan ->
-  ?fast:bool ->
   ?verdicts:int array ->
   instance ->
   ((int * int) * float) list ->

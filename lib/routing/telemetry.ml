@@ -13,24 +13,6 @@ let enabled () = !on
 
 let set_enabled b = on := b
 
-(* --- planes ------------------------------------------------------------ *)
-
-type plane = Interpreted | Compiled
-
-let plane_name = function
-  | Interpreted -> "interpreted"
-  | Compiled -> "compiled"
-
-(* Ambient plane for trace events. Written only from the domain that
-   orchestrates routing (before a parallel sweep spawns its workers), read
-   by the emitters; a plain ref is enough because writes happen-before the
-   spawn that makes workers read it. *)
-let plane = ref Interpreted
-
-let set_plane p = if !on then plane := p
-
-let current_plane () = !plane
-
 (* --- counters ---------------------------------------------------------- *)
 
 type counters = {
@@ -39,7 +21,6 @@ type counters = {
   mutable table_lookups : int;
   mutable bounces : int;
   mutable detour_entries : int;
-  mutable fast_plane_hits : int;
   mutable delivered : int;
   mutable dropped : int;
   mutable corrupted : int;
@@ -57,7 +38,6 @@ let fresh_counters () =
     table_lookups = 0;
     bounces = 0;
     detour_entries = 0;
-    fast_plane_hits = 0;
     delivered = 0;
     dropped = 0;
     corrupted = 0;
@@ -76,7 +56,6 @@ let zero_counters c =
   c.table_lookups <- 0;
   c.bounces <- 0;
   c.detour_entries <- 0;
-  c.fast_plane_hits <- 0;
   c.delivered <- 0;
   c.dropped <- 0;
   c.corrupted <- 0;
@@ -92,7 +71,6 @@ let add_counters ~into c =
   into.table_lookups <- into.table_lookups + c.table_lookups;
   into.bounces <- into.bounces + c.bounces;
   into.detour_entries <- into.detour_entries + c.detour_entries;
-  into.fast_plane_hits <- into.fast_plane_hits + c.fast_plane_hits;
   into.delivered <- into.delivered + c.delivered;
   into.dropped <- into.dropped + c.dropped;
   into.corrupted <- into.corrupted + c.corrupted;
@@ -111,7 +89,6 @@ let counter_rows c =
     ("table_lookups", c.table_lookups);
     ("bounces", c.bounces);
     ("detour_entries", c.detour_entries);
-    ("fast_plane_hits", c.fast_plane_hits);
     ("delivered", c.delivered);
     ("dropped", c.dropped);
     ("corrupted", c.corrupted);
@@ -277,7 +254,6 @@ let sub_counters a b =
     table_lookups = a.table_lookups - b.table_lookups;
     bounces = a.bounces - b.bounces;
     detour_entries = a.detour_entries - b.detour_entries;
-    fast_plane_hits = a.fast_plane_hits - b.fast_plane_hits;
     delivered = a.delivered - b.delivered;
     dropped = a.dropped - b.dropped;
     corrupted = a.corrupted - b.corrupted;
@@ -357,7 +333,6 @@ let timed name f =
 type kind = Hop | Deliver | Bounce | Drop | Corrupt | Retry | Detour | End of string
 
 type event = {
-  plane : plane;
   kind : kind;
   at : int;
   port : int;
@@ -375,7 +350,7 @@ let emit kind ~at ~port ~words =
   match !trace_buf with
   | None -> ()
   | Some buf ->
-    buf := { plane = !plane; kind; at; port; header_words = words } :: !buf
+    buf := { kind; at; port; header_words = words } :: !buf
 
 let with_trace f =
   let was = !on in
@@ -409,8 +384,8 @@ let event_to_json e =
     | _ -> ""
   in
   Printf.sprintf
-    "{\"type\":\"event\",\"kind\":\"%s\",\"plane\":\"%s\",\"at\":%d,\"port\":%d,\"header_words\":%d%s}"
-    (kind_name e.kind) (plane_name e.plane) e.at e.port e.header_words verdict
+    "{\"type\":\"event\",\"kind\":\"%s\",\"at\":%d,\"port\":%d,\"header_words\":%d%s}"
+    (kind_name e.kind) e.at e.port e.header_words verdict
 
 let hist_summary h =
   ( Histogram.count h,

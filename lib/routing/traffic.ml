@@ -364,7 +364,7 @@ let serve ?pool ?(churn = []) ?(topo = []) ?repairer ?(chunk = 256)
           for i = 0 to ns - 1 do
             if bufs.(i) <> [] then
               evals :=
-                Scheme.evaluate_batch ~pool ?faults:stale_plan ~fast:true
+                Scheme.evaluate_batch ~pool ?faults:stale_plan
                   ~verdicts:verdict_counts wrapped.(i) !cur_apsp bufs.(i)
                 :: !evals
           done;
@@ -432,7 +432,7 @@ let serve ?pool ?(churn = []) ?(topo = []) ?repairer ?(chunk = 256)
     for i = 0 to ns - 1 do
       if bufs.(i) <> [] then begin
         let ev =
-          Scheme.evaluate_batch ~pool ?faults:!seg_plan ~fast:true
+          Scheme.evaluate_batch ~pool ?faults:!seg_plan
             ~verdicts:verdict_counts (!insts).(i) !cur_apsp bufs.(i)
         in
         seg_pairs.(i) <- bufs.(i) :: seg_pairs.(i);

@@ -114,7 +114,7 @@ type segment = {
   plan : Fault.plan option;  (** fault plan active during the segment *)
   pairs : (int * int) list;  (** this instance's queries, arrival order *)
   eval : Scheme.eval;
-      (** bit-identical to [Scheme.evaluate_batch ?faults:plan ~fast:true]
+      (** bit-identical to [Scheme.evaluate_batch ?faults:plan]
           over [pairs] — the serve loop routes through the same batch
           engine in chunks and concatenates (see {!Scheme.concat_evals}),
           so nothing can diverge; [test_traffic.ml] pins it anyway. *)
@@ -185,7 +185,7 @@ val serve :
 (** [serve t ~budget ~instances ~apsp] drives [budget] queries from the
     schedule through the instances (all over the same graph; [apsp] is
     that graph's oracle), dispatching query [k] to instance
-    [k mod length instances] — a round-robin multi-plane server. Queries
+    [k mod length instances] — a round-robin multi-instance server. Queries
     are drained in windows of at most [chunk] (default 256) per instance
     through {!Scheme.evaluate_batch} on [pool], so routing fans out over
     the domain pool while results stay bit-identical to a serial run.

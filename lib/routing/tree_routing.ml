@@ -12,7 +12,7 @@ type node = {
   heavy_lo : int;             (* -1 when leaf *)
   heavy_hi : int;
   heavy_port : int;
-  children : (int * int * int) array; (* (child_lo, child_hi, port), interval scheme *)
+  children : (int * int * int) array; (* (child_lo, child_hi, port), heavy first *)
   depth : int;
   dist_to_root : float;
 }
@@ -272,8 +272,6 @@ let label_bits t v =
   let _, bits = encode_label t t.labels.(Hashtbl.find t.local v) in
   bits
 
-let interval_table_words t v = 2 + (3 * Array.length t.nodes.(idx t v).children)
-
 let depth t v = t.nodes.(idx t v).depth
 
 let tree_dist t u v =
@@ -294,32 +292,14 @@ let tree_dist t u v =
   let j, acc_j = lift j d 0.0 in
   acc_i +. acc_j +. meet i j 0.0
 
-let step t ~at (l : label) =
-  let u = t.nodes.(idx t at) in
-  if l.dfs = u.lo then `Deliver
-  else if l.dfs < u.lo || l.dfs > u.hi then `Forward u.parent_port
-  else if u.heavy_lo >= 0 && l.dfs >= u.heavy_lo && l.dfs <= u.heavy_hi then
-    `Forward u.heavy_port
-  else begin
-    (* The next edge is a light edge out of [at]; its record is in the label. *)
-    let rec find i =
-      if i >= Array.length l.light then
-        invalid_arg "Tree_routing.step: corrupt label"
-      else if l.light.(i).at_lo = u.lo then l.light.(i).port
-      else find (i + 1)
-    in
-    `Forward (find 0)
-  end
+(* --- routing tables --------------------------------------------------------
 
-(* --- compiled form -------------------------------------------------------
-
-   [step] resolves [at] through a hashtable and then reads one node record;
-   the compiled form packs the six fields a decision needs into a flat
-   stride-6 [int array] indexed by local slot, with the vertex->slot map
-   compiled to a direct or binary-searched array. Decisions are identical
-   to [step] by construction — the fields are copied, not recomputed — and
-   the space accounting is untouched: [table_words] counts the logical
-   7-word record either way. *)
+   The build-time [node] records sit behind a hashtable; routing reads a
+   compiled form instead, which packs the six fields a decision needs into
+   a flat stride-6 [int array] indexed by local slot, with the vertex->slot
+   map compiled to a direct or binary-searched array. The fields are
+   copied, not recomputed, and the space accounting is untouched:
+   [table_words] counts the logical 7-word record. *)
 
 let stride = 6
 
@@ -349,7 +329,7 @@ let compile t =
     c_fields = Compiled.Packed_array.of_array fields;
   }
 
-let step_c c ~at (l : label) =
+let step c ~at (l : label) =
   let field = Compiled.Packed_array.get c.c_fields in
   let b = stride * Compiled.Intmap.find c.c_idx at in
   let lo = field b in
@@ -360,6 +340,8 @@ let step_c c ~at (l : label) =
     if heavy_lo >= 0 && l.dfs >= heavy_lo && l.dfs <= field (b + 4) then
       `Forward (field (b + 5))
     else begin
+      (* The next edge is a light edge out of [at]; its record is in the
+         label. *)
       let rec find i =
         if i >= Array.length l.light then
           invalid_arg "Tree_routing.step: corrupt label"
@@ -368,16 +350,4 @@ let step_c c ~at (l : label) =
       in
       `Forward (find 0)
     end
-  end
-
-let step_interval t ~at (l : label) =
-  let u = t.nodes.(idx t at) in
-  if l.dfs = u.lo then `Deliver
-  else if l.dfs < u.lo || l.dfs > u.hi then `Forward u.parent_port
-  else begin
-    let rec find i =
-      let cl, ch, p = u.children.(i) in
-      if l.dfs >= cl && l.dfs <= ch then p else find (i + 1)
-    in
-    `Forward (find 0)
   end

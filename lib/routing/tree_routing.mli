@@ -4,18 +4,12 @@ open Cr_graph
     Fraigniaud–Gavoille).
 
     A tree is a subgraph of the host graph given by a root and parent
-    pointers (typically a shortest-path tree or a cluster tree). Two schemes
-    are provided over the same preprocessed structure:
-
-    - the {e heavy-light labeled} scheme: each vertex keeps O(1) words
-      (its DFS interval, parent port, heavy-child interval and port) and the
-      destination label carries one entry per light edge on the root-to-
-      destination path — O(log n) entries;
-    - the {e interval} scheme: each vertex keeps one interval per child and
-      the label is a single DFS number.
-
-    Both route on the unique tree path. The labeled scheme is the one the
-    paper's space bounds assume; the interval scheme cross-validates it. *)
+    pointers (typically a shortest-path tree or a cluster tree). Routing is
+    the {e heavy-light labeled} scheme: each vertex keeps O(1) words (its
+    DFS interval, parent port, heavy-child interval and port) and the
+    destination label carries one entry per light edge on the root-to-
+    destination path — O(log n) entries. Messages follow the unique tree
+    path. *)
 
 type t
 
@@ -66,10 +60,6 @@ val table_words : t -> int -> int
 (** [table_words t v] is the heavy-light local table size at member [v], in
     words (a constant). *)
 
-val interval_table_words : t -> int -> int
-(** Local table size of the interval variant at [v]: linear in the number of
-    tree children. *)
-
 val depth : t -> int -> int
 (** Hop depth of member [v] below the root. *)
 
@@ -79,25 +69,17 @@ val tree_dist : t -> int -> int -> float
 
 (** {1 Routing} *)
 
-val step : t -> at:int -> label -> [ `Deliver | `Forward of int ]
-(** One heavy-light routing decision at member [at] toward the label's
-    vertex: deliver here, or forward through the returned port. Decisions
-    use only [at]'s O(1)-word record and the label. *)
-
-val step_interval : t -> at:int -> label -> [ `Deliver | `Forward of int ]
-(** Same decision under the interval scheme. *)
-
-(** {1 Compiled form} *)
-
 type compiled
-(** The heavy-light tables flattened into a stride-6 [int array] plus a
-    compiled vertex-to-slot map (see {!Compiled}) — the forwarding-plane
-    representation. Compiling copies the decision fields verbatim, so
-    {!step_c} and {!step} agree on every input, and the logical
-    {!table_words} accounting is unchanged. *)
+(** The routing tables: the heavy-light records flattened into a stride-6
+    [int array] plus a compiled vertex-to-slot map (see {!Compiled}).
+    Compiling copies the decision fields of the build-time records
+    verbatim; the logical {!table_words} accounting is unchanged. *)
 
 val compile : t -> compiled
 
-val step_c : compiled -> at:int -> label -> [ `Deliver | `Forward of int ]
-(** Identical decision to {!step}, including raising [Not_found] on a
-    non-member [at] and [Invalid_argument] on a corrupt label. *)
+val step : compiled -> at:int -> label -> [ `Deliver | `Forward of int ]
+(** One heavy-light routing decision at member [at] toward the label's
+    vertex: deliver here, or forward through the returned port. Decisions
+    use only [at]'s O(1)-word record and the label.
+    @raise Not_found on a non-member [at].
+    @raise Invalid_argument on a corrupt label. *)

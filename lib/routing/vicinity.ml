@@ -228,8 +228,6 @@ let nearest_of b pred =
     in
     scan 0
 
-let step vicinities ~at ~dst = first_port vicinities.(at) dst
-
 (* A slice is re-boxed before remapping: delta invalidation only touches
    small survivable vicinities, and the family block must stay immutable —
    its other slices still describe the old graph. *)
@@ -258,12 +256,12 @@ let remap_ports b f =
       first_ports = Array.map (fun p -> if p < 0 then p else f p) bx.first_ports;
     }
 
-(* --- compiled form ------------------------------------------------------
+(* --- routing tables -------------------------------------------------------
 
-   [first_port] is the hot lookup of every Via hop; the compiled form
-   replaces the membership hashtable with a compiled member->position map
-   (direct or binary-searched int arrays, see [Compiled]) and shares the
-   member/port arrays with the interpreted structure. A packed slice is
+   The first-port lookup is the hot read of every Via hop; routing reads a
+   compiled form that replaces the build-time membership hashtable with a
+   compiled member->position map (direct or binary-searched int arrays,
+   see [Compiled]) over bit-packed member and port arrays. A packed slice is
    already flat — compiling it shares the family outright and keeps the
    linear scan, which at [l] entries is cheaper than materializing n
    per-vertex maps ever pays back. *)
@@ -301,7 +299,7 @@ let first_port_c c v =
     if v = u then invalid_arg "Vicinity.first_port: source";
     fget fam.f_ports ((u * fam.f_l) + i)
 
-let step_c vicinities ~at ~dst = first_port_c vicinities.(at) dst
+let step vicinities ~at ~dst = first_port_c vicinities.(at) dst
 
 (* --- snapshot form ------------------------------------------------------
 

@@ -73,12 +73,6 @@ val nearest_of : t -> (int -> bool) -> int option
     [pred] (ties by id), e.g. "nearest vertex of color c" or "some vertex of
     the hitting set". *)
 
-val step : t array -> at:int -> dst:int -> int
-(** Lemma 2: the port that [at] uses to forward a message addressed to
-    [dst], assuming [dst] is in [B(at, l)]. The caller routes by repeating
-    [step] at each intermediate vertex; Property 1 guarantees membership is
-    preserved along the way. @raise Not_found if [dst] is not in [B(at, l)]. *)
-
 val remap_ports : t -> (int -> int) -> t
 (** [remap_ports b f] replaces every stored first-hop port [p] of the
     source by [f p] (members, distances and radius are shared, not
@@ -86,21 +80,24 @@ val remap_ports : t -> (int -> int) -> t
     vicinity's source had its ports renumbered: [f] maps an old port of
     the source to the same physical link's port on the new graph. *)
 
-(** {1 Compiled form} *)
+(** {1 Routing tables} *)
 
 type compiled
 (** The per-hop lookup compiled to flat arrays (see {!Compiled}): the
-    member-to-position hashtable becomes a direct or binary-searched map;
-    the member and first-port arrays are shared with the interpreted
-    structure, so answers are identical by construction. *)
+    member-to-position hashtable becomes a direct or binary-searched map
+    over bit-packed copies of the member and first-port arrays; a packed
+    family is shared as is. *)
 
 val compile : t -> compiled
 
 val first_port_c : compiled -> int -> int
-(** Identical answer (and exceptions) to {!first_port}. *)
+(** Same answer (and exceptions) as {!first_port}. *)
 
-val step_c : compiled array -> at:int -> dst:int -> int
-(** Identical answer to {!step} over compiled vicinities. *)
+val step : compiled array -> at:int -> dst:int -> int
+(** Lemma 2: the port that [at] uses to forward a message addressed to
+    [dst], assuming [dst] is in [B(at, l)]. The caller routes by repeating
+    [step] at each intermediate vertex; Property 1 guarantees membership is
+    preserved along the way. @raise Not_found if [dst] is not in [B(at, l)]. *)
 
 (** {1 Snapshot form} *)
 

@@ -89,6 +89,17 @@ expect "serve csv has per-scheme rows" 0 $?
   --slo-rps 999999999999 >/dev/null
 expect "serve SLO violation (exit 1)" 1 $?
 
+# Non-positive counts are usage errors (cmdliner exit 124), raised before
+# any work starts — never an escaped Invalid_argument (exit 125).
+for cmd in "stats -s tz-k2 --domains 0" "throughput -s tz-k2 --domains 0" \
+  "serve --domains 0" "serve --chunk 0"; do
+  # shellcheck disable=SC2086
+  "$CLI" $cmd -g "$tmp/g.gr" >/dev/null 2>"$tmp/usage.err"
+  expect "$cmd is a usage error (exit 124)" 124 $?
+  grep -q "not a positive integer" "$tmp/usage.err"
+  expect "$cmd names the bad count" 0 $?
+done
+
 "$CLI" route -g "$tmp/g.gr" -s no-such-scheme --src 0 --dst 1 >/dev/null 2>&1
 rc=$?
 [ "$rc" -ne 0 ]

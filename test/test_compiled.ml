@@ -1,10 +1,11 @@
-(* The compiled forwarding plane and the batched query engine.
+(* The routing tables and the batched query engine.
 
-   The contract under test: compilation never changes a decision — for
-   every scheme in the catalog, routing through the compiled plane yields
-   the same verdict, final vertex, path, length, hop count and header peak
-   as the interpreted tables; and [Scheme.evaluate_batch] is bit-identical
-   to the serial [Scheme.evaluate] regardless of domain count. *)
+   The contract under test: the compiled containers answer exactly as the
+   build-time hashtables they are built from, and
+   [Scheme.evaluate_batch] is bit-identical to the serial
+   [Scheme.evaluate] regardless of domain count. Per-route outcomes of
+   every catalog scheme are pinned by the golden route signatures
+   ([test_golden.ml]). *)
 open Util
 open Cr_graph
 open Cr_routing
@@ -69,83 +70,8 @@ let test_bitset_matches_hashtbl =
       && (not (Compiled.Bitset.mem s 100))
       && not (Compiled.Bitset.mem s (-1)))
 
-(* ------------------------------------------------------------------ *)
-(* Tree routing: step_c == step on every (vertex, label)               *)
-(* ------------------------------------------------------------------ *)
-
-let test_tree_step_compiled =
-  qcheck ~count:40 "Tree_routing.step_c == step" arb_weighted_connected_graph
-    (fun g ->
-      let t = Tree_routing.of_tree g (Dijkstra.spt g 0) in
-      let c = Tree_routing.compile t in
-      Array.for_all
-        (fun dst ->
-          let lbl = Tree_routing.label t dst in
-          Array.for_all
-            (fun at -> Tree_routing.step t ~at lbl = Tree_routing.step_c c ~at lbl)
-            (Tree_routing.members t))
-        (Tree_routing.members t))
-
-(* ------------------------------------------------------------------ *)
-(* Whole catalog: the compiled plane routes identically                *)
-(* ------------------------------------------------------------------ *)
-
-let outcomes_equal (a : Port_model.outcome) (b : Port_model.outcome) =
-  a.Port_model.verdict = b.Port_model.verdict
-  && a.Port_model.final = b.Port_model.final
-  && a.Port_model.path = b.Port_model.path
-  && a.Port_model.length = b.Port_model.length
-  && a.Port_model.hops = b.Port_model.hops
-  && a.Port_model.header_words_peak = b.Port_model.header_words_peak
-
-(* Same outcome except the path, which must be omitted. *)
-let outcomes_equal_pathless (a : Port_model.outcome) (b : Port_model.outcome) =
-  a.Port_model.verdict = b.Port_model.verdict
-  && a.Port_model.final = b.Port_model.final
-  && b.Port_model.path = []
-  && a.Port_model.length = b.Port_model.length
-  && a.Port_model.hops = b.Port_model.hops
-  && a.Port_model.header_words_peak = b.Port_model.header_words_peak
-
 let catalog_graph seed =
   Generators.connect ~seed (Generators.gnp ~seed:(seed + 400) 44 0.12)
-
-let test_catalog_fast_matches_route =
-  qcheck ~count:4 "catalog: route_fast == route on sampled pairs"
-    QCheck2.Gen.(int_range 0 1_000)
-    (fun seed ->
-      let g = catalog_graph seed in
-      let n = Graph.n g in
-      let pairs = Scheme.sample_pairs ~seed ~n ~count:120 in
-      List.for_all
-        (fun (e : Catalog.entry) ->
-          let inst, _ = e.Catalog.build ~seed:(seed + 7) ~eps:0.5 g in
-          List.for_all
-            (fun (u, v) ->
-              let interp = Scheme.route inst ~src:u ~dst:v in
-              let fast = Scheme.route_fast inst ~src:u ~dst:v in
-              let pathless =
-                Scheme.route_fast ~record_path:false ~detect_loops:false inst
-                  ~src:u ~dst:v
-              in
-              outcomes_equal interp fast
-              && (* ~record_path:false changes no verdict, only the path *)
-              ((not (Scheme.has_fast inst))
-              || outcomes_equal_pathless interp pathless))
-            pairs)
-        Catalog.all)
-
-let test_every_scheme_has_fast () =
-  (* All catalog schemes carry a compiled plane; only the resilience
-     wrapper legitimately lacks one (it composes whole sub-routes). *)
-  let g = catalog_graph 3 in
-  List.iter
-    (fun (e : Catalog.entry) ->
-      let inst, _ = e.Catalog.build ~seed:5 ~eps:0.5 g in
-      checkb e.Catalog.id true (Scheme.has_fast inst);
-      checkb (e.Catalog.id ^ "+res") false
-        (Scheme.has_fast (Resilient.instance (Resilient.wrap inst))))
-    Catalog.all
 
 (* ------------------------------------------------------------------ *)
 (* Batched query engine: bit-identical merges at any domain count      *)
@@ -161,18 +87,16 @@ let test_batch_matches_serial () =
     (fun (e : Catalog.entry) ->
       let inst, _ = e.Catalog.build ~seed:9 ~eps:0.5 g in
       let serial = Scheme.evaluate inst apsp pairs in
-      checkb (e.Catalog.id ^ " 1-domain fast") true
+      checkb (e.Catalog.id ^ " 1-domain") true
         (Scheme.evaluate_batch ~pool:pool1 inst apsp pairs = serial);
-      checkb (e.Catalog.id ^ " 4-domain fast") true
-        (Scheme.evaluate_batch ~pool:pool4 inst apsp pairs = serial);
-      checkb (e.Catalog.id ^ " 4-domain interpreted") true
-        (Scheme.evaluate_batch ~pool:pool4 ~fast:false inst apsp pairs = serial))
+      checkb (e.Catalog.id ^ " 4-domain") true
+        (Scheme.evaluate_batch ~pool:pool4 inst apsp pairs = serial))
     Catalog.all
 
 let test_batch_matches_serial_under_faults () =
-  (* With [~fast:false] the batch engine routes through [inst.route], so
-     it must match [evaluate_under_faults] bit for bit even when faults
-     make verdicts diverge between the two planes' knob settings. *)
+  (* The batch engine routes with path recording and loop detection off,
+     the serial sweep with both on; under faults the evals must still
+     match bit for bit. *)
   let g = catalog_graph 17 in
   let apsp = Apsp.compute g in
   let pairs = Scheme.sample_pairs ~seed:29 ~n:(Graph.n g) ~count:120 in
@@ -183,8 +107,7 @@ let test_batch_matches_serial_under_faults () =
       let inst, _ = e.Catalog.build ~seed:13 ~eps:0.5 g in
       let serial = Scheme.evaluate_under_faults ~faults:plan inst apsp pairs in
       checkb e.Catalog.id true
-        (Scheme.evaluate_batch ~pool ~faults:plan ~fast:false inst apsp pairs
-        = serial))
+        (Scheme.evaluate_batch ~pool ~faults:plan inst apsp pairs = serial))
     Catalog.all
 
 (* ------------------------------------------------------------------ *)
@@ -253,11 +176,8 @@ let suite =
     test_intmap_sparse;
     test_table_matches_hashtbl;
     test_bitset_matches_hashtbl;
-    test_tree_step_compiled;
-    test_catalog_fast_matches_route;
-    case "every catalog scheme has a compiled plane" test_every_scheme_has_fast;
     case "evaluate_batch == evaluate (1 and 4 domains)" test_batch_matches_serial;
-    case "evaluate_batch ~fast:false == evaluate_under_faults"
+    case "evaluate_batch == evaluate_under_faults"
       test_batch_matches_serial_under_faults;
     case "sample_pairs count=all-1 terminates" test_sample_pairs_dense_terminates;
     case "sample_pairs dense edge cases" test_sample_pairs_all;

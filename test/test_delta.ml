@@ -213,8 +213,8 @@ let prop_repair_identical (g, seed) =
   let pairs = Scheme.sample_pairs ~seed ~n:(Graph.n g') ~count:150 in
   List.for_all2
     (fun (_, ri, _) fi ->
-      Scheme.evaluate_batch ~fast:true ri apsp' pairs
-      = Scheme.evaluate_batch ~fast:true fi apsp' pairs)
+      Scheme.evaluate_batch ri apsp' pairs
+      = Scheme.evaluate_batch fi apsp' pairs)
     rep.Catalog.instances fresh
 
 (* The thorough fixture version: wider catalog (incl. a resilient
@@ -248,8 +248,8 @@ let test_repair_identity () =
     (fun ((e : Catalog.entry), ri, _) fi ->
       List.iter
         (fun (pool, faults) ->
-          let a = Scheme.evaluate_batch ~pool ?faults ~fast:true ri apsp' pairs in
-          let b = Scheme.evaluate_batch ~pool ?faults ~fast:true fi apsp' pairs in
+          let a = Scheme.evaluate_batch ~pool ?faults ri apsp' pairs in
+          let b = Scheme.evaluate_batch ~pool ?faults fi apsp' pairs in
           checkb (e.Catalog.id ^ ": repaired routes bit-identically to fresh")
             true (a = b))
         [ (pool1, None); (pool4, None); (pool1, Some plan); (pool4, Some plan) ])
@@ -267,8 +267,8 @@ let test_repair_identity () =
   List.iter2
     (fun (_, ri, _) (_, fi, _) ->
       checkb "fallback instances route identically" true
-        (Scheme.evaluate_batch ~pool:pool1 ~fast:true ri apsp' pairs
-        = Scheme.evaluate_batch ~pool:pool1 ~fast:true fi apsp' pairs))
+        (Scheme.evaluate_batch ~pool:pool1 ri apsp' pairs
+        = Scheme.evaluate_batch ~pool:pool1 fi apsp' pairs))
     rep.Catalog.instances full.Catalog.instances
 
 (* ------------------------------------------------------------------ *)
@@ -347,7 +347,7 @@ let test_serve_topo_churn () =
             (fun (sg : Traffic.segment) ->
               seg_pairs := !seg_pairs + List.length sg.Traffic.pairs;
               let fresh =
-                Scheme.evaluate_batch ~pool ?faults:sg.Traffic.plan ~fast:true
+                Scheme.evaluate_batch ~pool ?faults:sg.Traffic.plan
                   s.Traffic.instance ep.Traffic.apsp sg.Traffic.pairs
               in
               checkb "epoch segment matches evaluate_batch on its oracle" true

@@ -29,11 +29,12 @@ let test_eps_extremes () =
     (fun eps ->
       let t = Scheme3eps.preprocess ~eps ~seed:203 g in
       let alpha, beta = Scheme3eps.stretch_bound t in
+      let inst = Scheme3eps.instance t in
       let ok = ref true in
       for u = 0 to 19 do
         for v = 0 to 19 do
           if u <> v then begin
-            let o = Scheme3eps.route t ~src:u ~dst:v in
+            let o = Scheme.route inst ~src:u ~dst:v in
             if (not (Port_model.delivered o))
                || o.Port_model.length > (alpha *. Apsp.dist apsp u v) +. beta +. 1e-9
             then ok := false
@@ -139,7 +140,7 @@ let test_two_vertices_lemma7 () =
     Seq_routing.preprocess g ~vicinities:vic ~parts:[| [| 0; 1 |] |]
       ~part_of:[| 0; 0 |]
   in
-  let o = Seq_routing.route t ~src:0 ~dst:1 in
+  let o = Seq_routing.route (Seq_routing.compile t) ~src:0 ~dst:1 in
   checkb "delivered" true ((Port_model.delivered o) && o.Port_model.final = 1);
   checkf "one hop" 1.0 o.Port_model.length
 
@@ -150,7 +151,7 @@ let test_two_vertices_lemma8 () =
     Seq_routing2.preprocess g ~vicinities:vic ~parts:[| [| 0; 1 |] |]
       ~part_of:[| 0; 0 |] ~dests:[| [| 0; 1 |] |]
   in
-  let o = Seq_routing2.route t ~src:0 ~dst:1 in
+  let o = Seq_routing2.route (Seq_routing2.compile t) ~src:0 ~dst:1 in
   checkb "delivered" true ((Port_model.delivered o) && o.Port_model.final = 1)
 
 (* --- weighted graph where the heaviest edge is still a shortest path --- *)
@@ -160,7 +161,7 @@ let test_triangle_inequality_violating_weights () =
      it when routing 0 -> 2 along shortest paths (length check catches). *)
   let g = Graph.of_edges [ (0, 1, 1.0); (1, 2, 1.0); (0, 2, 10.0) ] in
   let t = Scheme5eps.preprocess ~seed:207 g in
-  let o = Scheme5eps.route t ~src:0 ~dst:2 in
+  let o = Scheme.route (Scheme5eps.instance t) ~src:0 ~dst:2 in
   checkb "uses the short route" true (o.Port_model.length <= 2.0 +. 1e-9)
 
 (* --- parallel duplicate edge inputs --- *)

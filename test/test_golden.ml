@@ -19,10 +19,10 @@ let read_lines path =
   in
   go []
 
-(* Routes every case accepted by [only] through [route] and compares its
-   signature (with [strip] applied to the golden line) line by line,
-   naming the first divergence. *)
-let compare_against_golden ?(only = fun _ -> true) what route strip =
+(* Routes every case through [route] and compares its signature (with
+   [strip] applied to the golden line) line by line, naming the first
+   divergence. *)
+let compare_against_golden what route strip =
   let golden = Array.of_list (read_lines golden_file) in
   let i = ref 0 in
   List.iter
@@ -32,11 +32,8 @@ let compare_against_golden ?(only = fun _ -> true) what route strip =
           if !i >= Array.length golden then
             Alcotest.failf "%s: %s has more cases than its %d lines" what
               golden_file (Array.length golden);
-          let got =
-            if only c then Golden_routes.signature c ~src ~dst (route c ~src ~dst)
-            else golden.(!i)
-          in
-          let want = if only c then strip golden.(!i) else golden.(!i) in
+          let got = Golden_routes.signature c ~src ~dst (route c ~src ~dst) in
+          let want = strip golden.(!i) in
           if got <> want then
             Alcotest.failf "%s: line %d differs\n  want: %s\n  got:  %s" what
               (!i + 1) want got;
@@ -55,30 +52,19 @@ let drop_path line =
   in
   find (String.length line - k)
 
-let test_compiled () =
-  compare_against_golden "compiled plane" Golden_routes.route Fun.id
+let test_routes () =
+  compare_against_golden "Scheme.route" Golden_routes.route Fun.id
 
-let test_interpreted () =
-  compare_against_golden "interpreted plane"
-    (fun c ~src ~dst ->
-      Scheme.route ?faults:c.Golden_routes.faults c.Golden_routes.inst ~src ~dst)
-    Fun.id
-
-(* The knobs belong to the compiled plane; the resilience wrapper has
-   none and always records. *)
 let test_pathless () =
-  compare_against_golden
-    ~only:(fun c -> Scheme.has_fast c.Golden_routes.inst)
-    "record_path:false, detect_loops:false"
+  compare_against_golden "record_path:false, detect_loops:false"
     (fun c ~src ~dst ->
-      Scheme.route_fast ?faults:c.Golden_routes.faults ~record_path:false
+      Scheme.route ?faults:c.Golden_routes.faults ~record_path:false
         ~detect_loops:false c.Golden_routes.inst ~src ~dst)
     drop_path
 
 let suite =
   [
-    Util.case "golden routes: compiled plane" test_compiled;
-    Util.case "golden routes: interpreted plane" test_interpreted;
+    Util.case "golden routes" test_routes;
     Util.case "golden routes: path recording and loop detection off"
       test_pathless;
   ]

@@ -26,6 +26,7 @@ let test_ni_zoo () =
   List.iter
     (fun (name, g) ->
       let t = Scheme_ni.preprocess ~eps:0.5 ~seed:95 g in
+      let inst = Scheme_ni.instance t in
       let alpha, beta = Scheme_ni.stretch_bound t in
       let apsp = Apsp.compute g in
       let n = Graph.n g in
@@ -33,7 +34,7 @@ let test_ni_zoo () =
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
           if u <> v then begin
-            let o = Scheme_ni.route t ~src:u ~dst:v in
+            let o = Scheme.route inst ~src:u ~dst:v in
             if not ((Port_model.delivered o) && o.Port_model.final = v) then
               ok := false
             else if
@@ -53,6 +54,7 @@ let prop_ni_random =
       return (g, seed))
     (fun (g, seed) ->
       let t = Scheme_ni.preprocess ~seed g in
+      let inst = Scheme_ni.instance t in
       let alpha, beta = Scheme_ni.stretch_bound t in
       let apsp = Apsp.compute g in
       let n = Graph.n g in
@@ -60,7 +62,7 @@ let prop_ni_random =
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
           if u <> v then begin
-            let o = Scheme_ni.route t ~src:u ~dst:v in
+            let o = Scheme.route inst ~src:u ~dst:v in
             if (not (Port_model.delivered o))
                || o.Port_model.length
                   > (alpha *. Apsp.dist apsp u v) +. beta +. 1e-9

@@ -151,17 +151,19 @@ let test_tz_scheme_identical () =
   checkb "label words" true
     (Cr_baselines.Tz_routing.base_label_words t1
     = Cr_baselines.Tz_routing.base_label_words t2);
+  let c1 = Cr_baselines.Tz_routing.compile t1 in
+  let c2 = Cr_baselines.Tz_routing.compile t2 in
   List.iter
     (fun (src, dst) ->
-      let o1 = Cr_baselines.Tz_routing.route t1 ~src ~dst in
-      let o2 = Cr_baselines.Tz_routing.route t2 ~src ~dst in
+      let o1 = Cr_baselines.Tz_routing.route c1 ~src ~dst in
+      let o2 = Cr_baselines.Tz_routing.route c2 ~src ~dst in
       checkb "same route" true (o1 = o2))
     (Scheme.sample_pairs ~seed:7 ~n:(Graph.n g) ~count:120)
 
 (* The batched query engines over a lazy rt instance: the mutex-guarded
    on-demand stores are filled concurrently by the worker domains, in a
    schedule-dependent order — the evals must still be bit-identical to the
-   1-domain run, and to the serial reference evaluate, on both planes. *)
+   1-domain run, and to the serial reference evaluate. *)
 let test_lazy_rt_eval_identical () =
   let g =
     Generators.with_random_weights ~seed:23 ~lo:0.5 ~hi:4.0
@@ -174,28 +176,21 @@ let test_lazy_rt_eval_identical () =
   let sampled =
     List.map (fun (u, v) -> ((u, v), Apsp.dist apsp u v)) pairs
   in
-  List.iter
-    (fun fast ->
-      let tag = if fast then "fast" else "interpreted" in
-      let b1 = Scheme.evaluate_batch ~pool:(serial ()) ~fast inst apsp pairs in
-      let b4 = Scheme.evaluate_batch ~pool:(wide ()) ~fast inst apsp pairs in
-      checkb (tag ^ " batch 1 = 4 domains") true (b1 = b4);
-      let s1 = Scheme.evaluate_sampled ~pool:(serial ()) ~fast inst sampled in
-      let s4 = Scheme.evaluate_sampled ~pool:(wide ()) ~fast inst sampled in
-      checkb (tag ^ " sampled 1 = 4 domains") true (s1 = s4);
-      checkb (tag ^ " batch = sampled") true (b1 = s1))
-    [ false; true ];
-  let reference = Scheme.evaluate inst apsp pairs in
-  checkb "interpreted batch = serial evaluate" true
-    (Scheme.evaluate_batch ~pool:(wide ()) ~fast:false inst apsp pairs
-    = reference)
+  let b1 = Scheme.evaluate_batch ~pool:(serial ()) inst apsp pairs in
+  let b4 = Scheme.evaluate_batch ~pool:(wide ()) inst apsp pairs in
+  checkb "batch 1 = 4 domains" true (b1 = b4);
+  let s1 = Scheme.evaluate_sampled ~pool:(serial ()) inst sampled in
+  let s4 = Scheme.evaluate_sampled ~pool:(wide ()) inst sampled in
+  checkb "sampled 1 = 4 domains" true (s1 = s4);
+  checkb "batch = sampled" true (b1 = s1);
+  checkb "batch = serial evaluate" true (Scheme.evaluate inst apsp pairs = b4)
 
 (* Lazy stores filled concurrently from empty caches. A miss builds
    outside the store lock, so two domains can build the same key at once
    and the second insert is skipped. The pair list repeats every block of
    ten pairs three times in a row, so the chunks the 3 worker domains
    claim side by side hold the same pairs and miss the same keys together.
-   Each engine and plane runs on a fresh instance per domain count; the
+   Each engine runs on a fresh instance per domain count; the
    3-domain instance then routes the list again from its filled cache. *)
 let lazy_store_identity name ~build g =
   let apsp = Apsp.compute g in
@@ -208,23 +203,22 @@ let lazy_store_identity name ~build g =
   in
   let pairs = blocks (Scheme.sample_pairs ~seed:9 ~n:(Graph.n g) ~count:150) in
   let sampled = List.map (fun (u, v) -> ((u, v), Apsp.dist apsp u v)) pairs in
-  List.iter
-    (fun fast ->
-      let tag what = Printf.sprintf "%s %s %s" name (if fast then "fast" else "interpreted") what in
-      let b1 = Scheme.evaluate_batch ~pool:(serial ()) ~fast (build ()) apsp pairs in
-      let inst = build () in
-      let b3 = Scheme.evaluate_batch ~pool:(wide ()) ~fast inst apsp pairs in
-      checkb (tag "batch 1 = 3 domains") true (b1 = b3);
-      checkb (tag "batch second pass = first") true
-        (Scheme.evaluate_batch ~pool:(wide ()) ~fast inst apsp pairs = b3);
-      let s1 = Scheme.evaluate_sampled ~pool:(serial ()) ~fast (build ()) sampled in
-      let inst = build () in
-      let s3 = Scheme.evaluate_sampled ~pool:(wide ()) ~fast inst sampled in
-      checkb (tag "sampled 1 = 3 domains") true (s1 = s3);
-      checkb (tag "sampled second pass = first") true
-        (Scheme.evaluate_sampled ~pool:(wide ()) ~fast inst sampled = s3);
-      checkb (tag "batch = sampled") true (b1 = s1))
-    [ false; true ]
+  let tag what = name ^ " " ^ what in
+  let b1 = Scheme.evaluate_batch ~pool:(serial ()) (build ()) apsp pairs in
+  let inst = build () in
+  let b3 = Scheme.evaluate_batch ~pool:(wide ()) inst apsp pairs in
+  checkb (tag "batch 1 = 3 domains") true (b1 = b3);
+  checkb (tag "batch second pass = first") true
+    (Scheme.evaluate_batch ~pool:(wide ()) inst apsp pairs = b3);
+  let s1 = Scheme.evaluate_sampled ~pool:(serial ()) (build ()) sampled in
+  let inst = build () in
+  let s3 = Scheme.evaluate_sampled ~pool:(wide ()) inst sampled in
+  checkb (tag "sampled 1 = 3 domains") true (s1 = s3);
+  checkb (tag "sampled second pass = first") true
+    (Scheme.evaluate_sampled ~pool:(wide ()) inst sampled = s3);
+  checkb (tag "batch = sampled") true (b1 = s1);
+  checkb (tag "batch = serial evaluate") true
+    (Scheme.evaluate (build ()) apsp pairs = b1)
 
 (* rt-4km7-k3 consults only the Lemma 8 store. *)
 let test_lazy_4km7_concurrent_misses () =

@@ -58,7 +58,8 @@ let test_run_scheme_bounds_hops () =
   let g = Generators.cycle 8 in
   (* A step function that never delivers: the wrapper must stop it. *)
   let o =
-    Scheme_util.run_scheme g ~src:0 ~header:()
+    Scheme_util.run_scheme ~faults:None ~record_path:true ~detect_loops:true g
+      ~src:0 ~header:()
       ~step:(fun ~at:_ () -> Port_model.Forward (0, ()))
       ~header_words:(fun () -> 0)
   in

@@ -48,7 +48,7 @@ let test_3eps_weighted () =
 let test_3eps_self_route () =
   let g = Generators.grid 4 4 in
   let t = Scheme3eps.preprocess ~eps ~seed:105 g in
-  let o = Scheme3eps.route t ~src:3 ~dst:3 in
+  let o = Scheme.route (Scheme3eps.instance t) ~src:3 ~dst:3 in
   checkb "self delivered" true ((Port_model.delivered o) && o.Port_model.hops = 0)
 
 let prop_3eps_random =
@@ -140,12 +140,13 @@ let test_2eps1_global_tree_regime () =
       ~center_target:(Graph.n g) g
   in
   checki "A = V" (Graph.n g) (Array.length (Scheme2eps1.centers t));
+  let inst = Scheme2eps1.instance t in
   let apsp = Apsp.compute g in
   let ok = ref true in
   for u = 0 to 39 do
     for v = 0 to 39 do
       if u <> v then begin
-        let o = Scheme2eps1.route t ~src:u ~dst:v in
+        let o = Scheme.route inst ~src:u ~dst:v in
         (* T(p_A(v)) = SPT of v itself: routing is exact. *)
         if (not (Port_model.delivered o))
            || abs_float (o.Port_model.length -. Apsp.dist apsp u v) > 1e-9
@@ -163,13 +164,14 @@ let test_5eps_sparse_centers_regime () =
       (Generators.torus 6 6)
   in
   let t = Scheme5eps.preprocess ~eps ~seed:131 ~center_target:3 g in
+  let inst = Scheme5eps.instance t in
   let alpha, beta = Scheme5eps.stretch_bound t in
   let apsp = Apsp.compute g in
   let ok = ref true in
   for u = 0 to 35 do
     for v = 0 to 35 do
       if u <> v then begin
-        let o = Scheme5eps.route t ~src:u ~dst:v in
+        let o = Scheme.route inst ~src:u ~dst:v in
         if (not (Port_model.delivered o))
            || o.Port_model.length > (alpha *. Apsp.dist apsp u v) +. beta +. 1e-9
         then ok := false

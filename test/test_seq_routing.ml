@@ -22,6 +22,7 @@ let make_instance ?(eps = 0.5) ~seed g =
     (t, c)
 
 let check_part_pairs ?(eps = 0.5) g (t, (c : Coloring.t)) =
+  let t = Seq_routing.compile t in
   let apsp = Apsp.compute g in
   let ok = ref true in
   Array.iter
@@ -79,6 +80,7 @@ let test_single_part () =
     Seq_routing.preprocess ~eps:0.5 g ~vicinities:vic ~parts:[| all |]
       ~part_of:(Array.make n 0)
   in
+  let t = Seq_routing.compile t in
   let apsp = Apsp.compute g in
   let ok = ref true in
   for u = 0 to n - 1 do
@@ -103,12 +105,13 @@ let test_missing_pair_raises () =
       ~part_of:[| 0; 0; 1; 1; 1; 1; 1; 1 |]
   in
   checkb "cross-part pair rejected" true
-    (try ignore (Seq_routing.route t ~src:0 ~dst:7); false
+    (try ignore (Seq_routing.route (Seq_routing.compile t) ~src:0 ~dst:7); false
      with Not_found -> true)
 
 let test_header_words_bounded () =
   let g = Generators.torus 6 6 in
   let inst, c = make_instance ~eps:0.25 ~seed:37 g in
+  let inst = Seq_routing.compile inst in
   let b = int_of_float (ceil (2.0 /. 0.25)) in
   let ok = ref true in
   Array.iter

@@ -33,6 +33,7 @@ let make_instance ?(eps = 0.5) ~seed ~dest_fraction g =
     (t, c, dests)
 
 let check_pairs ?(eps = 0.5) g (t, (c : Coloring.t), dests) =
+  let tc = Seq_routing2.compile t in
   let apsp = Apsp.compute g in
   let ok = ref true in
   Array.iteri
@@ -42,7 +43,7 @@ let check_pairs ?(eps = 0.5) g (t, (c : Coloring.t), dests) =
           Array.iter
             (fun w ->
               if u <> w then begin
-                let o = Seq_routing2.route t ~src:u ~dst:w in
+                let o = Seq_routing2.route tc ~src:u ~dst:w in
                 if not ((Port_model.delivered o) && o.Port_model.final = w) then
                   ok := false
                 else begin
@@ -125,6 +126,7 @@ let test_relays_fire_on_long_cycles () =
       Seq_routing2.preprocess ~eps:1.0 g ~vicinities:vic ~parts:c.classes
         ~part_of:c.color ~dests
     in
+    let tc = Seq_routing2.compile t in
     let apsp = Apsp.compute g in
     let non_exact = ref 0 and ok = ref true in
     Array.iteri
@@ -134,7 +136,7 @@ let test_relays_fire_on_long_cycles () =
             Array.iter
               (fun w ->
                 if u <> w then begin
-                  let o = Seq_routing2.route t ~src:u ~dst:w in
+                  let o = Seq_routing2.route tc ~src:u ~dst:w in
                   let d = Apsp.dist apsp u w in
                   if not (Port_model.delivered o) then ok := false;
                   if o.Port_model.length > (2.0 *. d) +. 1e-9 then ok := false;
@@ -157,7 +159,7 @@ let test_missing_pair_raises () =
       ~part_of:(Array.make 8 0) ~dests:[| [| 7 |] |]
   in
   checkb "unknown destination rejected" true
-    (try ignore (Seq_routing2.route t ~src:0 ~dst:5); false
+    (try ignore (Seq_routing2.route (Seq_routing2.compile t) ~src:0 ~dst:5); false
      with Not_found -> true)
 
 let prop_random_graphs =

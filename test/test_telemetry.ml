@@ -2,8 +2,8 @@
 
    The contract under test: observation never changes behavior. Routing
    with telemetry on — counters, histograms, even full per-hop tracing —
-   must produce bit-identical outcomes to routing with it off, on both
-   forwarding planes, with and without faults; the per-domain counter
+   must produce bit-identical outcomes to routing with it off, with path
+   recording on and off, with and without faults; the per-domain counter
    shards must merge to exactly the serial totals; and the histogram
    arithmetic (buckets, percentiles, merges) must obey its pins. *)
 open Util
@@ -29,19 +29,20 @@ let gen_identity =
     let* g = arb_connected_graph in
     let* sidx = int_range 0 (List.length catalog_ids - 1) in
     let* seed = int_range 0 1000 in
-    let* use_fast = bool in
+    let* record = bool in
     let* rate = oneofl [ 0.0; 0.15; 0.6 ] in
     let* fs = int_range 0 99 in
-    return (g, List.nth catalog_ids sidx, seed, use_fast, rate, fs))
+    return (g, List.nth catalog_ids sidx, seed, record, rate, fs))
 
 let route_pairs g =
   let n = Graph.n g in
   [ (0, n - 1); (n - 1, 0); (n / 2, n - 1) ]
 
 let test_identity =
-  qcheck ~count:60 "telemetry on/off: bit-identical outcomes (both planes)"
+  qcheck ~count:60
+    "telemetry on/off: bit-identical outcomes (path recording on and off)"
     gen_identity
-    (fun (g, id, seed, use_fast, rate, fs) ->
+    (fun (g, id, seed, record, rate, fs) ->
       let e = Option.get (Catalog.find id) in
       let inst, _ = e.Catalog.build ~seed ~eps:0.5 g in
       let faults =
@@ -53,8 +54,8 @@ let test_identity =
                g)
       in
       let one ~src ~dst =
-        if use_fast then Scheme.route_fast ?faults inst ~src ~dst
-        else Scheme.route ?faults inst ~src ~dst
+        Scheme.route ?faults ~record_path:record ~detect_loops:record inst ~src
+          ~dst
       in
       List.for_all
         (fun (src, dst) ->
@@ -135,19 +136,19 @@ let test_batch_merge_matches_serial () =
   List.iter
     (fun domains ->
       let pool = Pool.create ~domains () in
-      (* ~fast:false so the batch routes through the same interpreted
-         tables the serial sweep used; the merged shard totals must then
-         be the serial totals exactly, at any domain count. *)
+      (* Path recording and loop detection count nothing, so the merged
+         shard totals must be the serial totals exactly, at any domain
+         count. *)
       let batch =
         counters_of (fun () ->
-            ignore (Scheme.evaluate_batch ~pool ~fast:false inst apsp pairs))
+            ignore (Scheme.evaluate_batch ~pool inst apsp pairs))
       in
       checkb
         (Printf.sprintf "batch totals at %d domain(s) == serial" domains)
         true (batch = serial))
     [ 1; 4 ]
 
-let test_fast_plane_hits () =
+let test_batch_counts_every_pair () =
   with_telemetry true @@ fun () ->
   let g = Generators.grid 6 6 in
   let e = Option.get (Catalog.find "full") in
@@ -157,9 +158,13 @@ let test_fast_plane_hits () =
   Telemetry.reset ();
   ignore (Scheme.evaluate_batch ~pool:(Pool.create ~domains:2 ()) inst apsp pairs);
   let t = Telemetry.totals () in
-  checki "every routed pair hit the compiled plane" t.Telemetry.routes
-    t.Telemetry.fast_plane_hits;
-  checki "all pairs routed" (List.length pairs) t.Telemetry.routes
+  checki "all pairs routed" (List.length pairs) t.Telemetry.routes;
+  checki "all pairs delivered" (List.length pairs) t.Telemetry.delivered;
+  (match List.assoc_opt "route" (Telemetry.histograms ()) with
+  | Some h ->
+    checki "one route latency per pair" (List.length pairs)
+      (Telemetry.Histogram.count h)
+  | None -> Alcotest.fail "route histogram missing")
 
 (* ------------------------------------------------------------------ *)
 (* Trace events                                                        *)
@@ -280,7 +285,7 @@ let test_export () =
             || String.sub l 0 16 = "{\"type\":\"counter"
             || String.sub l 0 16 = "{\"type\":\"histogr"))
        lines);
-  checki "fourteen counter lines" 14
+  checki "thirteen counter lines" 13
     (List.length
        (List.filter
           (fun l ->
@@ -288,8 +293,8 @@ let test_export () =
           lines));
   let csv = Telemetry.to_csv () in
   let csv_lines = String.split_on_char '\n' (String.trim csv) in
-  checkb "csv has a header plus the fourteen counters" true
-    (List.length csv_lines >= 15)
+  checkb "csv has a header plus the thirteen counters" true
+    (List.length csv_lines >= 14)
 
 let suite =
   [
@@ -298,7 +303,7 @@ let suite =
     case "counter pins on a single route" test_counters_single_route;
     case "batch shard merge equals serial counters"
       test_batch_merge_matches_serial;
-    case "fast plane hits count compiled routes" test_fast_plane_hits;
+    case "batch counts every routed pair once" test_batch_counts_every_pair;
     case "trace events narrate the route" test_trace_events;
     case "histogram bucket pins" test_histogram_buckets;
     test_histogram_percentiles;

@@ -2,15 +2,12 @@ open Util
 open Cr_graph
 open Cr_routing
 
-let route_on_tree t g ~interval ~src ~dst =
+let route_on_tree t g ~src ~dst =
+  let c = Tree_routing.compile t in
   let lbl = Tree_routing.label t dst in
   Port_model.run g ~src ~header:lbl
     ~step:(fun ~at l ->
-      let d =
-        if interval then Tree_routing.step_interval t ~at l
-        else Tree_routing.step t ~at l
-      in
-      match d with
+      match Tree_routing.step c ~at l with
       | `Deliver -> Port_model.Deliver
       | `Forward p -> Port_model.Forward (p, l))
     ~header_words:(fun l -> Tree_routing.label_words l)
@@ -23,19 +20,31 @@ let check_all_pairs g t =
     (fun u ->
       Array.iter
         (fun v ->
-          List.iter
-            (fun interval ->
-              let o = route_on_tree t g ~interval ~src:u ~dst:v in
-              if not ((Port_model.delivered o) && o.Port_model.final = v) then
-                ok := false
-              else if
-                abs_float (o.Port_model.length -. Tree_routing.tree_dist t u v)
-                > 1e-9
-              then ok := false)
-            [ false; true ])
+          let o = route_on_tree t g ~src:u ~dst:v in
+          if not ((Port_model.delivered o) && o.Port_model.final = v) then
+            ok := false
+          else if
+            abs_float (o.Port_model.length -. Tree_routing.tree_dist t u v)
+            > 1e-9
+          then ok := false)
         ms)
     ms;
   !ok
+
+(* Reference next hop on a Dijkstra tree, read straight off its parent
+   array: the child on the path when [at] is an ancestor of [dst], else
+   the parent. *)
+let oracle_step g (tr : Dijkstra.tree) ~at ~dst =
+  let parent v = tr.Dijkstra.parent.(v) in
+  let rec child_toward v =
+    if v = tr.Dijkstra.source then None
+    else if parent v = at then Some v
+    else child_toward (parent v)
+  in
+  if at = dst then `Deliver
+  else
+    let next = match child_toward dst with Some c -> c | None -> parent at in
+    `Forward (Option.get (Graph.port_to g at next))
 
 let test_path_tree () =
   let g = Generators.path 8 in
@@ -71,9 +80,7 @@ let test_label_sizes_logarithmic () =
 let test_table_constant () =
   let g = Generators.star 50 in
   let t = Tree_routing.of_tree g (Dijkstra.spt g 0) in
-  checki "heavy-light table is O(1)" 7 (Tree_routing.table_words t 0);
-  checkb "interval table at hub is linear" true
-    (Tree_routing.interval_table_words t 0 >= 49 * 3)
+  checki "heavy-light table is O(1)" 7 (Tree_routing.table_words t 0)
 
 let test_depth () =
   let g = Generators.path 6 in
@@ -106,17 +113,19 @@ let prop_random_spt_all_pairs =
       let t = Tree_routing.of_tree g (Dijkstra.spt g 0) in
       check_all_pairs g t)
 
-let prop_heavy_light_equals_interval =
-  qcheck ~count:30 "heavy-light and interval agree hop by hop"
-    arb_connected_graph (fun g ->
-      let t = Tree_routing.of_tree g (Dijkstra.spt g 0) in
+let prop_step_matches_parent_oracle =
+  qcheck ~count:30 "heavy-light step = parent-array next hop"
+    arb_weighted_connected_graph (fun g ->
+      let tr = Dijkstra.spt g 0 in
+      let t = Tree_routing.of_tree g tr in
+      let c = Tree_routing.compile t in
       let ms = Tree_routing.members t in
       Array.for_all
-        (fun u ->
+        (fun at ->
           Array.for_all
-            (fun v ->
-              let l = Tree_routing.label t v in
-              Tree_routing.step t ~at:u l = Tree_routing.step_interval t ~at:u l)
+            (fun dst ->
+              Tree_routing.step c ~at (Tree_routing.label t dst)
+              = oracle_step g tr ~at ~dst)
             ms)
         ms)
 
@@ -141,6 +150,6 @@ let suite =
     case "weighted tree distance" test_tree_dist_weighted;
     case "malformed trees rejected" test_rejects_bad_trees;
     prop_random_spt_all_pairs;
-    prop_heavy_light_equals_interval;
+    prop_step_matches_parent_oracle;
     prop_labels_light_depth;
   ]

@@ -129,6 +129,7 @@ let lemma2_route g l =
      shortest path. *)
   let apsp = Apsp.compute g in
   let vic = Vicinity.compute_all g l in
+  let vic_c = Array.map Vicinity.compile vic in
   let ok = ref true in
   for u = 0 to Graph.n g - 1 do
     Array.iter
@@ -138,7 +139,7 @@ let lemma2_route g l =
             Port_model.run g ~src:u ~header:v
               ~step:(fun ~at dst ->
                 if at = dst then Port_model.Deliver
-                else Port_model.Forward (Vicinity.step vic ~at ~dst, dst))
+                else Port_model.Forward (Vicinity.step vic_c ~at ~dst, dst))
               ~header_words:(fun _ -> 1)
               ()
           in
