@@ -74,6 +74,31 @@ let catalog_graph seed =
   Generators.connect ~seed (Generators.gnp ~seed:(seed + 400) 44 0.12)
 
 (* ------------------------------------------------------------------ *)
+(* Whole catalog: the simulator knobs change only the path             *)
+(* ------------------------------------------------------------------ *)
+
+let test_catalog_knobs_change_only_path =
+  qcheck ~count:4 "catalog: knobs off change only the path, random graphs"
+    QCheck2.Gen.(int_range 0 1_000)
+    (fun seed ->
+      let g = catalog_graph seed in
+      let n = Graph.n g in
+      let pairs = Scheme.sample_pairs ~seed ~n ~count:120 in
+      List.for_all
+        (fun (e : Catalog.entry) ->
+          let inst, _ = e.Catalog.build ~seed:(seed + 7) ~eps:0.5 g in
+          List.for_all
+            (fun (u, v) ->
+              let full = Scheme.route inst ~src:u ~dst:v in
+              let pathless =
+                Scheme.route ~record_path:false ~detect_loops:false inst ~src:u
+                  ~dst:v
+              in
+              pathless = { full with Port_model.path = [] })
+            pairs)
+        Catalog.all)
+
+(* ------------------------------------------------------------------ *)
 (* Batched query engine: bit-identical merges at any domain count      *)
 (* ------------------------------------------------------------------ *)
 
@@ -176,6 +201,7 @@ let suite =
     test_intmap_sparse;
     test_table_matches_hashtbl;
     test_bitset_matches_hashtbl;
+    test_catalog_knobs_change_only_path;
     case "evaluate_batch == evaluate (1 and 4 domains)" test_batch_matches_serial;
     case "evaluate_batch == evaluate_under_faults"
       test_batch_matches_serial_under_faults;
