@@ -1578,8 +1578,9 @@ let section_repair () =
   Format.printf
     "Graph %a; %d schemes rebuilt per repair; identity checked over %d\n\
      routed pairs on the post-delta graph. Small deltas must come out\n\
-     cheaper on the dirty-region path than a cold rebuild; the answers\n\
-     must be bit-identical either way.@."
+     cheaper on the dirty-region path than a cold rebuild (best of 3\n\
+     alternated repairs each); the answers must be bit-identical either\n\
+     way.@."
     Graph.pp g (List.length entries) pairs_n;
   Printf.printf "\n%-10s %12s %10s %8s %8s %8s %10s\n" "delta-ops"
     "incremental-s" "full-s" "speedup" "reused" "dropped" "identical";
@@ -1588,10 +1589,19 @@ let section_repair () =
   List.iter
     (fun size ->
       let ops = Delta.random ~seed:(90 + size) ~size g in
-      let inc = Catalog.repair ~entries ~substrate ~seed ~eps ops in
-      let full =
-        Catalog.repair ~force_full:true ~entries ~substrate ~seed ~eps ops
+      (* [repair] leaves [substrate] as it was, so each delta is repaired
+         three times, alternating incremental and full, and the walls
+         compared are the best of each: one wall sample apiece flips the
+         1-op check on unchanged code. *)
+      let repair ~force_full =
+        Catalog.repair ~force_full ~entries ~substrate ~seed ~eps ops
       in
+      let inc = repair ~force_full:false and full = repair ~force_full:true in
+      let inc_wall = ref inc.Catalog.wall and full_wall = ref full.Catalog.wall in
+      for _ = 2 to 3 do
+        inc_wall := Float.min !inc_wall (repair ~force_full:false).Catalog.wall;
+        full_wall := Float.min !full_wall (repair ~force_full:true).Catalog.wall
+      done;
       let apsp' = Apsp.compute ~caller:"[repair] identity oracle" inc.Catalog.graph in
       let pairs =
         Scheme.sample_pairs ~seed:35 ~n:(Graph.n g) ~count:pairs_n
@@ -1609,17 +1619,16 @@ let section_repair () =
         | None -> (0, 0)
       in
       if not identical then all_identical := false;
-      if size = 1 && inc.Catalog.wall >= full.Catalog.wall then
-        small_faster := false;
+      if size = 1 && !inc_wall >= !full_wall then small_faster := false;
       Printf.printf "%-10d %12.3f %10.3f %7.2fx %8d %8d %10s\n%!"
-        (List.length ops) inc.Catalog.wall full.Catalog.wall
-        (full.Catalog.wall /. Float.max inc.Catalog.wall 1e-9)
+        (List.length ops) !inc_wall !full_wall
+        (!full_wall /. Float.max !inc_wall 1e-9)
         reused dropped
         (if identical then "true" else "VIOLATED");
       csv "repair" ~header:repair_csv_header
         [ "latency"; string_of_int (List.length ops);
-          Printf.sprintf "%.4f" inc.Catalog.wall;
-          Printf.sprintf "%.4f" full.Catalog.wall; string_of_int reused;
+          Printf.sprintf "%.4f" !inc_wall;
+          Printf.sprintf "%.4f" !full_wall; string_of_int reused;
           string_of_int dropped; string_of_bool identical; "0"; "" ])
     [ 1; 8; 64 ];
   Printf.printf "incremental == full rebuild (routed answers): %s\n"

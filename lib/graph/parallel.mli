@@ -16,10 +16,22 @@
     except per-index output slots; per-worker mutable scratch belongs in
     [local].
 
+    {b Persistent helpers.} Helper domains are shared by every pool and
+    outlive a call: they are spawned on demand, up to the widest width
+    requested so far, and a call of width [d] hands its job to helpers
+    [0 .. d - 2], works on it itself, and returns once every one of them
+    has finished. After a job a helper spins for about a millisecond
+    waiting for the next one, then exits; the next call spawns it again.
+    Helpers never park — in OCaml 5 every minor collection stops all
+    domains, idle ones included, so a parked helper would slow the serial
+    code between calls. One call uses the helpers at a time: a call made
+    while they are taken (from inside a body, or concurrently from another
+    domain) runs inline on its calling domain, which changes no result.
+
     The default pool size comes from the [CR_DOMAINS] environment variable
     (clamped to [1 .. 64]; unset or invalid falls back to
     [Domain.recommended_domain_count ()]). With one domain no helper is
-    spawned and the sweep runs inline. *)
+    used and the sweep runs inline. *)
 
 type t
 
@@ -44,12 +56,13 @@ val iter : t -> n:int -> (int -> unit) -> unit
 (** [iter p ~n f] runs [f i] for every [i] in [0, n), fanned out over the
     pool. [f] must be safe to call concurrently for distinct indices. If
     any [f] raises, one such exception is re-raised after all workers have
-    stopped. *)
+    stopped, and the pool stays usable. *)
 
 val iter_local : t -> n:int -> local:(unit -> 'w) -> ('w -> int -> unit) -> unit
 (** [iter_local p ~n ~local f]: as {!iter}, but each worker first creates
     private scratch with [local ()] (e.g. a [Dijkstra.workspace]) and
-    passes it to every [f] call it executes. *)
+    passes it to every [f] call it executes. A worker that finds no index
+    left never calls [local]. *)
 
 val map : t -> n:int -> (int -> 'a) -> 'a array
 (** [map p ~n f] is [Array.init n f] computed in parallel; element [i] is

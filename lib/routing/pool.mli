@@ -11,8 +11,13 @@
       outputs are bit-identical to a serial run regardless of scheduling;
     - per-worker scratch (e.g. a [Dijkstra.workspace]) comes from the
       [local] callback, one per domain, never shared;
+    - helper domains persist across calls: reused while calls keep
+      coming, they exit after about a millisecond idle and are respawned
+      on the next call;
+    - a call that finds the helpers taken (a nested call inside a body,
+      or a concurrent call from another domain) runs inline;
     - pool width defaults to [CR_DOMAINS] (clamped to [1 .. 64]), else
       [Domain.recommended_domain_count ()]; width 1 runs inline with no
-      domain spawned. *)
+      helper. *)
 
 include module type of Cr_graph.Parallel

@@ -189,22 +189,35 @@ end
 
 (* --- shards ------------------------------------------------------------ *)
 
-(* One shard per domain, handed out through domain-local storage and
-   registered globally so [totals] / [histograms] / [reset] can reach the
-   shards of every domain that ever routed — including pool workers that
-   have already been joined. *)
+(* One shard per live domain, handed out through domain-local storage and
+   registered globally so [totals] / [histograms] / [reset] can reach every
+   shard ever used. A domain that exits moves its shard to [retired], and
+   the next domain to route adopts a retired shard instead of registering a
+   new one, so pool helpers that come and go do not grow the registry.
+   Adopted shards keep their counts, so the merged totals stay exact. *)
 type shard = { c : counters; hists : (string, Histogram.t) Hashtbl.t }
 
 let registry_lock = Mutex.create ()
 
 let registry : shard list ref = ref []
 
+let retired : shard list ref = ref []
+
 let shard_key =
   Domain.DLS.new_key (fun () ->
-      let s = { c = fresh_counters (); hists = Hashtbl.create 8 } in
-      Mutex.lock registry_lock;
-      registry := s :: !registry;
-      Mutex.unlock registry_lock;
+      let s =
+        Mutex.protect registry_lock (fun () ->
+            match !retired with
+            | s :: rest ->
+              retired := rest;
+              s
+            | [] ->
+              let s = { c = fresh_counters (); hists = Hashtbl.create 8 } in
+              registry := s :: !registry;
+              s)
+      in
+      Domain.at_exit (fun () ->
+          Mutex.protect registry_lock (fun () -> retired := s :: !retired));
       s)
 
 let shard () = Domain.DLS.get shard_key

@@ -33,8 +33,8 @@ val on : bool ref
 (** The hot-path guard. Instrumentation points read it; everything else
     should go through {!set_enabled}. Initialized from the [CR_TRACE]
     environment variable ([unset], [""] or ["0"] = disabled). Toggle only
-    from the main domain while no parallel sweep is in flight — workers
-    read the flag they observed at spawn time. *)
+    from the main domain while no parallel sweep is in flight — a sweep in
+    flight may see either value. *)
 
 val enabled : unit -> bool
 
@@ -69,8 +69,9 @@ type counters = {
 }
 
 val counters_shard : unit -> counters
-(** This domain's shard (created and registered on first use). Mutate only
-    under [!on]; never share across domains. *)
+(** This domain's shard, bound on first use: a shard retired by a domain
+    that has exited is adopted (counts intact), else a fresh one is
+    registered. Mutate only under [!on]; never share across domains. *)
 
 val null_counters : counters
 (** A dummy shard for the disabled path: lets hot loops bind a shard
@@ -78,7 +79,9 @@ val null_counters : counters
 
 val totals : unit -> counters
 (** Fresh merged copy (field-wise sum) of every shard ever registered,
-    including shards of worker domains that have since terminated. *)
+    including shards of worker domains that have since terminated. The
+    registry grows with the most domains that routed at once, not with
+    the number of domains ever spawned. *)
 
 val counter_rows : counters -> (string * int) list
 (** Stable [(name, value)] listing, in declaration order — the CLI and

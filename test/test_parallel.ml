@@ -53,6 +53,110 @@ let test_map_local_scratch () =
   in
   checkb "scratch never bleeds" true (r = Array.init 200 string_of_int)
 
+(* --- Persistent helpers --- *)
+
+let covers_once pool n =
+  let hits = Array.make n 0 in
+  Pool.iter pool ~n (fun i -> hits.(i) <- hits.(i) + 1);
+  Array.for_all (( = ) 1) hits
+
+(* Longer than the helpers' linger, so they have exited before the next call. *)
+let past_linger () = Unix.sleepf 0.01
+
+let test_nested_iter () =
+  let outer = 12 and inner = 40 in
+  let hits = Array.make (outer * inner) 0 in
+  Pool.iter (wide ()) ~n:outer (fun o ->
+      Pool.iter (wide ()) ~n:inner (fun i ->
+          let k = (o * inner) + i in
+          hits.(k) <- hits.(k) + 1));
+  checkb "nested: each index exactly once" true (Array.for_all (( = ) 1) hits)
+
+let test_concurrent_callers () =
+  let rounds = 30 in
+  let sweep () =
+    let ok = ref true in
+    for r = 1 to rounds do
+      ok := !ok && covers_once (wide ()) (100 + r)
+    done;
+    !ok
+  in
+  let other = Domain.spawn sweep in
+  let here = sweep () in
+  checkb "calling domain" true here;
+  checkb "second domain" true (Domain.join other)
+
+let test_usable_after_raise () =
+  checkb "raises" true
+    (try
+       Pool.iter (wide ()) ~n:300 (fun i -> if i mod 7 = 3 then failwith "boom");
+       false
+     with Failure _ -> true);
+  checkb "next call covers every index" true (covers_once (wide ()) 300)
+
+let test_width_changes () =
+  let two = Pool.create ~domains:2 () in
+  checkb "width 2" true (covers_once two 500);
+  checkb "then width 3" true (covers_once (wide ()) 500);
+  checkb "then width 2" true (covers_once two 500);
+  checkb "then width 3 again" true (covers_once (wide ()) 500)
+
+let test_after_linger () =
+  checkb "warm" true (covers_once (wide ()) 200);
+  past_linger ();
+  checkb "after the helpers exited" true (covers_once (wide ()) 200);
+  past_linger ();
+  checkb "mapped after the helpers exited" true
+    (Pool.map (wide ()) ~n:200 (fun i -> 2 * i) = Array.init 200 (fun i -> 2 * i))
+
+(* Helpers are reused across back-to-back calls: a spawn per call would
+   show one new domain id per call. Each index spins long enough that the
+   helper takes part. *)
+let test_helpers_reused () =
+  let calls = 100 and n = 16 in
+  let ids = Array.make (calls * n) (-1) in
+  let pool = Pool.create ~domains:2 () in
+  for c = 0 to calls - 1 do
+    Pool.iter pool ~n (fun i ->
+        let until = Unix.gettimeofday () +. 2e-5 in
+        while Unix.gettimeofday () < until do
+          Domain.cpu_relax ()
+        done;
+        ids.((c * n) + i) <- (Domain.self () :> int))
+  done;
+  let distinct = List.length (List.sort_uniq compare (Array.to_list ids)) in
+  checkb (Printf.sprintf "%d distinct domains over %d calls" distinct calls) true
+    (distinct <= calls / 3)
+
+(* Linux: the thread count falls back once the helpers have lingered out. *)
+let test_helpers_exit () =
+  let threads () =
+    In_channel.with_open_text "/proc/self/status" (fun ic ->
+        let rec go () =
+          match In_channel.input_line ic with
+          | None -> 0
+          | Some l -> (
+            match String.split_on_char ':' l with
+            | [ "Threads"; v ] -> int_of_string (String.trim v)
+            | _ -> go ())
+        in
+        go ())
+  in
+  if Sys.file_exists "/proc/self/status" then begin
+    ignore (covers_once (wide ()) 200);
+    past_linger ();
+    let before = threads () in
+    ignore (covers_once (wide ()) 200);
+    let rec settle tries =
+      if threads () <= before || tries = 0 then threads ()
+      else begin
+        Unix.sleepf 0.01;
+        settle (tries - 1)
+      end
+    in
+    checkb "back to the idle thread count" true (settle 200 <= before)
+  end
+
 (* --- Parallel == serial, structure by structure --- *)
 
 let same_vicinity a b =
@@ -314,6 +418,13 @@ let suite =
     case "iter covers every index once" test_iter_covers_every_index;
     case "worker exceptions propagate" test_exception_propagates;
     case "per-worker scratch is private" test_map_local_scratch;
+    case "nested iter runs inline, every index once" test_nested_iter;
+    case "two domains calling at once" test_concurrent_callers;
+    case "pool usable after a worker raises" test_usable_after_raise;
+    case "width 2 and 3 calls interleave" test_width_changes;
+    case "call after the helpers lingered out" test_after_linger;
+    case "helpers reused across back-to-back calls" test_helpers_reused;
+    case "helpers exit after the linger" test_helpers_exit;
     prop_vicinities_identical;
     prop_vicinities_identical_unweighted;
     prop_apsp_identical;

@@ -263,6 +263,41 @@ let test_timed_records () =
     checki "disabled timed records nothing" 5 (Telemetry.Histogram.count h)
   | None -> Alcotest.fail "span histogram missing")
 
+(* Pool helpers that exit after each call hand their shard to the next
+   domain instead of leaving one registered per domain ever spawned: the
+   totals stay exact and the live heap stays flat. *)
+let test_shards_recycled () =
+  with_telemetry true @@ fun () ->
+  let pool = Pool.create ~domains:2 () in
+  let calls = 200 and n = 8 in
+  let call () =
+    Pool.iter pool ~n (fun _ ->
+        (* long enough per index that the helper takes part *)
+        Unix.sleepf 1e-4;
+        let c = Telemetry.counters_shard () in
+        c.Telemetry.routes <- c.Telemetry.routes + 1;
+        Telemetry.record_span "test.recycle" 1e-6);
+    (* past the helpers' linger, so the next call meets a new domain *)
+    Unix.sleepf 0.005
+  in
+  Telemetry.reset ();
+  for _ = 1 to 10 do
+    call ()
+  done;
+  Gc.full_major ();
+  let live0 = (Gc.stat ()).Gc.live_words in
+  for _ = 11 to calls do
+    call ()
+  done;
+  Gc.full_major ();
+  let grown = (Gc.stat ()).Gc.live_words - live0 in
+  checki "routes counted exactly" (calls * n) (Telemetry.totals ()).Telemetry.routes;
+  checki "span count exact" (calls * n)
+    (match List.assoc_opt "test.recycle" (Telemetry.histograms ()) with
+    | Some h -> Telemetry.Histogram.count h
+    | None -> 0);
+  checkb (Printf.sprintf "live heap grew %d words" grown) true (grown < 8192)
+
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -310,4 +345,5 @@ let suite =
     test_histogram_merge;
     case "timed spans land in histograms" test_timed_records;
     case "jsonl and csv export" test_export;
+    case "exited domains' shards are recycled" test_shards_recycled;
   ]
